@@ -13,8 +13,14 @@
 //
 // Every native table is also demanded bit-identical to the simulator's --
 // the certification contract (docs/backends.md) made visible in the bench.
+//
+// Each cell also times the same-host baseline sat_serial (paper Alg. 1,
+// best of two) and reports native / sat_serial: the ratio the native path
+// is judged by on this host, where < 1 means native beats one core's
+// plain loop.  Reported, not gated.
 #include "bench_common.hpp"
 #include "core/random_fill.hpp"
+#include "sat/cpu_reference.hpp"
 
 #include <chrono>
 #include <iostream>
@@ -51,6 +57,8 @@ int main(int argc, char** argv)
         double sim_us;
         double native_us;
         double speedup;
+        double serial_us;
+        double over_serial; // native_us / serial_us
     };
     std::vector<Row> rows;
     double min_speedup = 1e300;
@@ -64,6 +72,14 @@ int main(int argc, char** argv)
             fill_random_ints(img, /*seed=*/42,
                              static_cast<int>(std::clamp<std::int64_t>(
                                  cap, 1, 15)));
+
+            double serial_us = 1e300;
+            for (int rep = 0; rep < 2; ++rep) {
+                const auto t_ser = Clock::now();
+                const auto ref = sat::sat_serial<f32>(img);
+                serial_us = std::min(serial_us, wall_us_since(t_ser));
+                SATGPU_CHECK(ref.height() == n, "sat_serial shape");
+            }
             const sat::AnyMatrix image{std::move(img)};
 
             const auto sim_plan = rt.plan({.height = n,
@@ -102,7 +118,8 @@ int main(int argc, char** argv)
             const double speedup = native_us > 0 ? sim_us / native_us : 0;
             min_speedup = std::min(min_speedup, speedup);
             rows.push_back({algo, n, nat_plan.certified(), sim_us,
-                            native_us, speedup});
+                            native_us, speedup, serial_us,
+                            native_us / serial_us});
         }
     }
 
@@ -129,6 +146,10 @@ int main(int argc, char** argv)
             w.value(r.native_us);
             w.key("speedup");
             w.value(r.speedup);
+            w.key("serial_wall_us");
+            w.value(r.serial_us);
+            w.key("native_over_serial");
+            w.value(r.over_serial);
             w.end_object();
         }
         w.end_array();
@@ -137,17 +158,20 @@ int main(int argc, char** argv)
         w.end_object();
         std::cout << '\n';
     } else {
-        std::cout << "Backend wall clock: simulator vs native, 32f32f "
-                     "(best of two native runs)\n\n";
+        std::cout << "Backend wall clock: simulator vs native vs sat_serial, "
+                     "32f32f (best of two native and serial runs)\n\n";
         TablePrinter t({"algorithm", "size", "certified", "sim (us)",
-                        "native (us)", "speedup"});
+                        "native (us)", "speedup", "serial (us)",
+                        "native/serial"});
         for (const auto& r : rows)
             t.add_row({std::string(sat::to_string(r.algo)),
                        std::to_string(r.n / 1024) + "k",
                        r.certified ? "yes" : "no",
                        TablePrinter::fmt(r.sim_us, 0),
                        TablePrinter::fmt(r.native_us, 0),
-                       TablePrinter::fmt(r.speedup, 2)});
+                       TablePrinter::fmt(r.speedup, 2),
+                       TablePrinter::fmt(r.serial_us, 0),
+                       TablePrinter::fmt(r.over_serial, 2)});
         t.print(std::cout);
         std::cout << "\nmin speedup: " << TablePrinter::fmt(min_speedup, 2)
                   << "x\n";

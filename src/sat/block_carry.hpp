@@ -38,8 +38,7 @@ void block_carry_deposit(W& w, const LaneVec<T>& partial)
     const int wc = w.warps_per_block();
     auto sm = w.template smem_alloc<T>(
         "carry.partials", static_cast<std::int64_t>(wc) * kWarpSize);
-    const auto lane = LaneVec<std::int64_t>::lane_index();
-    sm.store(lane + std::int64_t{w.warp_id()} * kWarpSize, partial);
+    sm.store_row(std::int64_t{w.warp_id()} * kWarpSize, partial);
 }
 
 /// Step #2: warp 0 scans the staging matrix across the warp axis (each
@@ -54,12 +53,11 @@ void block_carry_scan(W& w)
     const int wc = w.warps_per_block();
     auto sm = w.template smem_alloc<T>(
         "carry.partials", static_cast<std::int64_t>(wc) * kWarpSize);
-    const auto lane = LaneVec<std::int64_t>::lane_index();
-    LaneVec<T> acc = sm.load(lane);
+    LaneVec<T> acc = sm.load_row(0);
     for (int i = 1; i < wc; ++i) {
-        const auto v = sm.load(lane + std::int64_t{i} * kWarpSize);
+        const auto v = sm.load_row(std::int64_t{i} * kWarpSize);
         acc = simt::vadd(acc, v);
-        sm.store(lane + std::int64_t{i} * kWarpSize, acc);
+        sm.store_row(std::int64_t{i} * kWarpSize, acc);
     }
 }
 
@@ -72,12 +70,10 @@ void block_carry_gather(W& w, LaneVec<T>& exclusive, LaneVec<T>& block_total)
     const int wc = w.warps_per_block();
     auto sm = w.template smem_alloc<T>(
         "carry.partials", static_cast<std::int64_t>(wc) * kWarpSize);
-    const auto lane = LaneVec<std::int64_t>::lane_index();
     exclusive = w.warp_id() == 0
                     ? LaneVec<T>{}
-                    : sm.load(lane + std::int64_t{w.warp_id() - 1} *
-                                         kWarpSize);
-    block_total = sm.load(lane + std::int64_t{wc - 1} * kWarpSize);
+                    : sm.load_row(std::int64_t{w.warp_id() - 1} * kWarpSize);
+    block_total = sm.load_row(std::int64_t{wc - 1} * kWarpSize);
 }
 
 /// After co_await: `exclusive[l]` = sum of `partial[l]` over all warps with

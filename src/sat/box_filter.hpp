@@ -22,7 +22,6 @@ simt::KernelTask box_filter_warp(simt::WarpCtx& w,
     const std::int64_t x0 =
         (w.block_idx().x * w.warps_per_block() + w.warp_id()) *
         simt::kWarpSize;
-    const auto lane = simt::LaneVec<std::int64_t>::lane_index();
     const auto m = cols_in_range(x0, width);
     if (m == 0 || y >= height)
         co_return;
@@ -73,7 +72,7 @@ simt::KernelTask box_filter_warp(simt::WarpCtx& w,
     // profiler's hotspot tables.
     simt::detail::count_adds(
         3 * static_cast<std::uint64_t>(simt::active_lane_count(m)));
-    out.store(lane + (y * width + x0), mean, m);
+    out.store_row(y * width + x0, mean, m);
 }
 
 } // namespace detail

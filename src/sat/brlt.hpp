@@ -55,18 +55,15 @@ void brlt_transpose_round(W& w, RegTile<T>& data, bool padded,
     auto sm = w.template smem_alloc<T>("brlt.tiles", group * 32 * stride);
     if (w.warp_id() < round_base || w.warp_id() >= round_base + group)
         return;
-    const auto lane = LaneVec<std::int64_t>::lane_index();
     const std::int64_t k = w.warp_id() - round_base;
     const std::int64_t base = k * 32 * stride;
     // Store rows: sMem[k][j][laneId] = data[j]  (Alg. 5 line 8).
     for (int j = 0; j < kWarpSize; ++j)
-        sm.store(lane + (base + j * stride),
-                 data[static_cast<std::size_t>(j)]);
+        sm.store_row(base + j * stride, data[static_cast<std::size_t>(j)]);
     // Load columns: data[j] = sMem[k][laneId][j]  (Alg. 5 line 12).
     // No barrier in between: only this warp touches tile k.
     for (int j = 0; j < kWarpSize; ++j)
-        data[static_cast<std::size_t>(j)] =
-            sm.load(lane * stride + (base + j));
+        data[static_cast<std::size_t>(j)] = sm.load_strided(base + j, stride);
 }
 
 /// Alg. 5: transpose the warp's register matrix in place (the simulator

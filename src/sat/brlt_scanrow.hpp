@@ -20,7 +20,6 @@
 #include "simt/native_backend.hpp"
 
 #include <span>
-#include <vector>
 
 namespace satgpu::sat {
 
@@ -84,13 +83,11 @@ void brlt_scanrow_block_native(simt::NativeBlockCtx& blk,
                                bool padded_smem)
 {
     const int wc = blk.warps_per_block();
-    const auto uwc = static_cast<std::size_t>(wc);
     const std::int64_t row0 = blk.block_idx().y * kWarpSize;
     const std::int64_t chunk_w = std::int64_t{wc} * kWarpSize;
     const std::int64_t chunks = ceil_div(width, chunk_w);
-    std::vector<RegTile<Tout>> data(uwc);
-    std::vector<LaneVec<Tout>> run_carry(uwc), partial(uwc), exclusive(uwc),
-        total(uwc);
+    const auto data = blk.warp_scratch<RegTile<Tout>>();
+    WarpLanes<Tout> run_carry{}, partial{}, exclusive{}, total{};
     const auto at = [](auto& v, int i) -> decltype(auto) {
         return v[static_cast<std::size_t>(i)];
     };
@@ -148,7 +145,7 @@ simt::LaunchStats launch_brlt_scanrow_wave(
             block_carry_smem_bytes<Tout>(wc)};
     if (native)
         return simt::native_launch(
-            eng.options(), info, cfg, [&](simt::NativeBlockCtx& blk) {
+            eng, info, cfg, [&](simt::NativeBlockCtx& blk) {
                 const auto z = static_cast<std::size_t>(blk.block_idx().z);
                 brlt_scanrow_block_native<Tout, Tsrc>(
                     blk, *ins[z], height, width, *outs[z], padded_smem);

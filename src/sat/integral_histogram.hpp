@@ -88,11 +88,10 @@ inline simt::KernelTask bin_mask_warp(simt::WarpCtx& w,
     const std::int64_t base =
         (w.block_idx().x * w.warps_per_block() + w.warp_id()) *
         simt::kWarpSize;
-    const auto lane = simt::LaneVec<std::int64_t>::lane_index();
     const simt::LaneMask m = simt::lanes_in_range(base, n);
     if (m == 0)
         co_return;
-    const auto v = img.load(lane + base, m);
+    const auto v = img.load_row(base, m);
     simt::LaneVec<u8> out{};
     for (int l = 0; l < simt::kWarpSize; ++l)
         if (simt::lane_active(m, l)) {
@@ -100,7 +99,7 @@ inline simt::KernelTask bin_mask_warp(simt::WarpCtx& w,
                                                   bins - 1);
             out.set(l, b == static_cast<std::int64_t>(bin) ? u8{1} : u8{0});
         }
-    mask.store(lane + base, out, m);
+    mask.store_row(base, out, m);
 }
 
 } // namespace detail

@@ -141,7 +141,7 @@ simt::LaunchStats launch_temporal_add(simt::Engine& eng,
     const simt::LaunchConfig cfg = detail::elementwise_config(n);
     if (native)
         return simt::native_launch(
-            eng.options(), info, cfg, [&](simt::NativeBlockCtx& blk) {
+            eng, info, cfg, [&](simt::NativeBlockCtx& blk) {
                 detail::temporal_add_block_native<T>(blk, cur, n, acc);
             });
     return eng.launch(info, cfg, [&](simt::WarpCtx& w) {
@@ -164,7 +164,7 @@ simt::LaunchStats launch_window_update(simt::Engine& eng,
     const simt::LaunchConfig cfg = detail::elementwise_config(n);
     if (native)
         return simt::native_launch(
-            eng.options(), info, cfg, [&](simt::NativeBlockCtx& blk) {
+            eng, info, cfg, [&](simt::NativeBlockCtx& blk) {
                 detail::window_update_block_native<T>(blk, cur, old, n, win);
             });
     return eng.launch(info, cfg, [&](simt::WarpCtx& w) {

@@ -333,8 +333,8 @@ void query_tile_sat_block_native(simt::NativeBlockCtx& blk,
 {
     const int wc = blk.warps_per_block();
     const std::int64_t slabs = ceil_div(job.h, std::int64_t{kWarpSize});
-    std::vector<RegTile<Tsat>> regs(static_cast<std::size_t>(wc));
-    std::vector<LaneVec<Tsat>> col_carry(static_cast<std::size_t>(wc));
+    const auto regs = blk.warp_scratch<RegTile<Tsat>>();
+    WarpLanes<Tsat> col_carry{};
     for (std::int64_t s = 0; s < slabs; ++s) {
         const std::int64_t row0 = s * kWarpSize;
         for (int wid = 0; wid < wc; ++wid)
@@ -366,7 +366,7 @@ launch_query_tile_sat(simt::Engine& eng,
         {static_cast<std::int64_t>(jobs.size()), 1, 1}, {kWarpSize, wc, 1}};
     if (native)
         return simt::native_launch(
-            eng.options(), info, cfg, [&](simt::NativeBlockCtx& blk) {
+            eng, info, cfg, [&](simt::NativeBlockCtx& blk) {
                 query_tile_sat_block_native(
                     blk,
                     jobs[static_cast<std::size_t>(blk.block_idx().x)],
@@ -438,7 +438,6 @@ public:
     /// Make rows [0, row] resident (loads any not yet seen).
     void ensure(std::int64_t row)
     {
-        const auto lane = LaneVec<std::int64_t>::lane_index();
         while (loaded_ < row) {
             ++loaded_;
             Tsat* dst = cache_.data() + (loaded_ % depth_) * seg_len_;
@@ -446,7 +445,7 @@ public:
                 const std::int64_t base = seg_lo_ + b;
                 const LaneMask m =
                     simt::lanes_in_range(base, seg_lo_ + seg_len_);
-                const auto v = sat_.load(lane + (loaded_ * ew_ + base), m);
+                const auto v = sat_.load_row(loaded_ * ew_ + base, m);
                 for (int l = 0; l < kWarpSize; ++l)
                     if (simt::lane_active(m, l))
                         dst[b + l] = v.get(l);
@@ -589,7 +588,7 @@ template <typename Spec, typename Tsat, typename Tin, typename Tout>
         {kWarpSize, 1, 1}};
     if (native)
         return simt::native_launch(
-            eng.options(), info, cfg, [&](simt::NativeBlockCtx& blk) {
+            eng, info, cfg, [&](simt::NativeBlockCtx& blk) {
                 query_consumer_body(
                     blk.warp(0),
                     jobs[static_cast<std::size_t>(blk.block_idx().y)], spec);
@@ -721,7 +720,7 @@ template <typename Spec, typename Tsat, typename Tin, typename Tout>
                                  {block_w, 1, 1}};
     if (native)
         return simt::native_launch(
-            eng.options(), info, cfg, [&](simt::NativeBlockCtx& blk) {
+            eng, info, cfg, [&](simt::NativeBlockCtx& blk) {
                 for (int wid = 0; wid < blk.warps_per_block(); ++wid)
                     query_gather_body(blk.warp(wid), table, input, height,
                                       width, out_row0, spec, out);
@@ -743,16 +742,15 @@ void bin_mask_body(W& w, const simt::DeviceBuffer<u8>& in, std::int64_t n,
 {
     const std::int64_t base =
         (w.block_idx().x * w.warps_per_block() + w.warp_id()) * kWarpSize;
-    const auto lane = LaneVec<std::int64_t>::lane_index();
     const LaneMask m = simt::lanes_in_range(base, n);
     if (m == 0)
         return;
-    const auto v = in.load(lane + base, m);
+    const auto v = in.load_row(base, m);
     LaneVec<u8> out{};
     for (int l = 0; l < kWarpSize; ++l)
         if (simt::lane_active(m, l))
             out.set(l, v.get(l) / bin_width == bin ? u8{1} : u8{0});
-    mask.store(lane + base, out, m);
+    mask.store_row(base, out, m);
 }
 
 /// One tile's bin-mask operands (fused hist path).
@@ -786,7 +784,7 @@ launch_bin_mask(simt::Engine& eng, std::span<const BinMaskJob> jobs, int bin,
         {256, 1, 1}};
     if (native)
         return simt::native_launch(
-            eng.options(), info, cfg, [&](simt::NativeBlockCtx& blk) {
+            eng, info, cfg, [&](simt::NativeBlockCtx& blk) {
                 const auto& j =
                     jobs[static_cast<std::size_t>(blk.block_idx().y)];
                 for (int wid = 0; wid < blk.warps_per_block(); ++wid)

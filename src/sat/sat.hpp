@@ -74,8 +74,8 @@ inline constexpr Algorithm kAllAlgorithms[] = {
 ///              (counters, profiler, hazard checker), the reference
 ///              lowering every result is defined against.
 ///   kNative -- the vectorized host backend: the SAME kernel bodies run
-///              as plain loops on fresh threads with no coroutines and no
-///              instrumentation.  Bit-identical tables, real wall-clock
+///              as plain loops on the engine's persistent executor with
+///              no coroutines and no instrumentation.  Bit-identical tables, real wall-clock
 ///              speed.  Only Runtime::plan may select it, and only for
 ///              hazard-certified configurations.
 ///   kAuto   -- let Runtime::plan pick: native where certified, simulator

@@ -21,7 +21,6 @@
 #include "simt/native_backend.hpp"
 
 #include <span>
-#include <vector>
 
 namespace satgpu::sat {
 
@@ -149,13 +148,11 @@ void scanrow_brlt_block_native(simt::NativeBlockCtx& blk,
                                scan::WarpScanKind kind, bool padded_smem)
 {
     const int wc = blk.warps_per_block();
-    const auto uwc = static_cast<std::size_t>(wc);
     const std::int64_t row0 = blk.block_idx().y * kWarpSize;
     const std::int64_t chunk_w = std::int64_t{wc} * kWarpSize;
     const std::int64_t chunks = ceil_div(width, chunk_w);
-    std::vector<RegTile<Tout>> data(uwc);
-    std::vector<LaneVec<Tout>> run_carry(uwc), totals(uwc), exclusive(uwc),
-        block_total(uwc);
+    const auto data = blk.warp_scratch<RegTile<Tout>>();
+    WarpLanes<Tout> run_carry{}, totals{}, exclusive{}, block_total{};
     const auto at = [](auto& v, int i) -> decltype(auto) {
         return v[static_cast<std::size_t>(i)];
     };
@@ -206,7 +203,7 @@ simt::LaunchStats launch_scanrow_brlt_wave(
             block_carry_smem_bytes<Tout>(wc)};
     if (native)
         return simt::native_launch(
-            eng.options(), info, cfg, [&](simt::NativeBlockCtx& blk) {
+            eng, info, cfg, [&](simt::NativeBlockCtx& blk) {
                 const auto z = static_cast<std::size_t>(blk.block_idx().z);
                 scanrow_brlt_block_native<Tout, Tsrc>(blk, *ins[z], height,
                                                       width, *outs[z], kind,

@@ -21,7 +21,6 @@
 #include "simt/profiler.hpp"
 
 #include <span>
-#include <vector>
 
 namespace satgpu::sat {
 
@@ -156,13 +155,11 @@ void scancolumn_block_native(simt::NativeBlockCtx& blk,
                              simt::DeviceBuffer<Tout>& out)
 {
     const int wc = blk.warps_per_block();
-    const auto uwc = static_cast<std::size_t>(wc);
     const std::int64_t col0 = blk.block_idx().x * kWarpSize;
     const std::int64_t strip_h = std::int64_t{wc} * kWarpSize;
     const std::int64_t steps = ceil_div(height, strip_h);
-    std::vector<RegTile<Tout>> data(uwc);
-    std::vector<LaneVec<Tout>> run_carry(uwc), partial(uwc), exclusive(uwc),
-        total(uwc);
+    const auto data = blk.warp_scratch<RegTile<Tout>>();
+    WarpLanes<Tout> run_carry{}, partial{}, exclusive{}, total{};
     const auto at = [](auto& v, int i) -> decltype(auto) {
         return v[static_cast<std::size_t>(i)];
     };
@@ -206,7 +203,7 @@ simt::LaunchStats launch_scanrow_wave(
     const simt::KernelInfo info{"scanrow", regs_per_thread<Tout>(), 0};
     if (native)
         return simt::native_launch(
-            eng.options(), info, cfg, [&](simt::NativeBlockCtx& blk) {
+            eng, info, cfg, [&](simt::NativeBlockCtx& blk) {
                 const auto z = static_cast<std::size_t>(blk.block_idx().z);
                 scanrow_block_native<Tout, Tsrc>(blk, *ins[z], height, width,
                                                  *outs[z], kind);
@@ -248,7 +245,7 @@ simt::LaunchStats launch_scancolumn_wave(
                                 block_carry_smem_bytes<Tout>(wc)};
     if (native)
         return simt::native_launch(
-            eng.options(), info, cfg, [&](simt::NativeBlockCtx& blk) {
+            eng, info, cfg, [&](simt::NativeBlockCtx& blk) {
                 const auto z = static_cast<std::size_t>(blk.block_idx().z);
                 scancolumn_block_native<Tout>(blk, *ins[z], height, width,
                                               *outs[z]);

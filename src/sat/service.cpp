@@ -613,7 +613,7 @@ Plan& Service::plan_for(Worker& w, CacheEntry* entry)
                      .query = entry->key.query,
                      .query_mode = entry->key.query_mode};
 
-    std::lock_guard elk(entry->mu);
+    std::unique_lock elk(entry->mu);
     if (entry->resolved) {
         // Another worker already paid the kAuto ranking; plan the concrete
         // algorithm directly (identical Plan, no calibration pass).  The
@@ -631,6 +631,9 @@ Plan& Service::plan_for(Worker& w, CacheEntry* entry)
             plan.backend() == Backend::kNative ? 1 : 0);
         entry->metrics.certified->set(plan.certified() ? 1 : 0);
     }
+    // Release the entry before taking mu_: plan_info() locks mu_, then
+    // each entry's mu.
+    elk.unlock();
     {
         std::lock_guard slk(mu_);
         ++stats_.plans_instantiated;

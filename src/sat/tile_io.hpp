@@ -21,6 +21,11 @@ using simt::LaneVec;
 template <typename T>
 using RegTile = std::array<LaneVec<T>, kWarpSize>;
 
+/// One LaneVec per warp of a block: a native block program's hoisted
+/// per-warp scalar state (running carries, partial sums), on the stack.
+template <typename T>
+using WarpLanes = std::array<LaneVec<T>, simt::kMaxWarpsPerBlock>;
+
 /// Lane mask (std::uint32_t, lane 0 = LSB) for columns col0+lane < width.
 /// Thin name-for-the-domain wrapper over simt::lanes_in_range, the shared
 /// segment-edge predicate.

@@ -31,14 +31,13 @@ simt::KernelTask scan_partial_warp(simt::WarpCtx& w,
         std::int64_t{w.warps_per_block()} * kWarpSize;
     const std::int64_t base =
         w.block_idx().x * chunk + std::int64_t{w.warp_id()} * kWarpSize;
-    const auto lane = LaneVec<std::int64_t>::lane_index();
 
     const simt::LaneMask m = simt::lanes_in_range(base, n);
 
-    auto v = in.load(lane + base, m);
+    auto v = in.load_row(base, m);
     LaneVec<T> total;
     co_await block_inclusive_scan(w, v, total, kind);
-    out.store(lane + base, v, m);
+    out.store_row(base, v, m);
     // Lane 0 of warp 0 records the block total.
     totals.store(LaneVec<std::int64_t>::broadcast(w.block_idx().x), total,
                  w.warp_id() == 0 ? 0x1u : 0u);
@@ -54,16 +53,15 @@ simt::KernelTask scan_offsets_warp(simt::WarpCtx& w,
     const std::int64_t n = totals.size();
     const std::int64_t chunk =
         std::int64_t{w.warps_per_block()} * kWarpSize;
-    const auto lane = LaneVec<std::int64_t>::lane_index();
     LaneVec<T> carry{};
     for (std::int64_t c0 = 0; c0 < n; c0 += chunk) {
         const std::int64_t base = c0 + std::int64_t{w.warp_id()} * kWarpSize;
         const simt::LaneMask m = simt::lanes_in_range(base, n);
-        auto v = totals.load(lane + base, m);
+        auto v = totals.load_row(base, m);
         LaneVec<T> total;
         co_await block_inclusive_scan(w, v, total, kind);
         v = simt::vadd(v, carry);
-        totals.store(lane + base, v, m);
+        totals.store_row(base, v, m);
         carry = simt::vadd(carry, total);
     }
 }
@@ -80,16 +78,15 @@ simt::KernelTask scan_add_offsets_warp(simt::WarpCtx& w,
         std::int64_t{w.warps_per_block()} * kWarpSize;
     const std::int64_t base =
         w.block_idx().x * chunk + std::int64_t{w.warp_id()} * kWarpSize;
-    const auto lane = LaneVec<std::int64_t>::lane_index();
     const simt::LaneMask m = simt::lanes_in_range(base, n);
     if (m == 0)
         co_return;
     const auto off = offsets.load(
         LaneVec<std::int64_t>::broadcast(w.block_idx().x - 1), 0x1u);
     const auto bcast = LaneVec<T>::broadcast(off.get(0));
-    auto v = data.load(lane + base, m);
+    auto v = data.load_row(base, m);
     v = simt::vadd(v, bcast);
-    data.store(lane + base, v, m);
+    data.store_row(base, v, m);
 }
 
 } // namespace detail

@@ -11,6 +11,8 @@
 namespace satgpu::simt {
 
 inline constexpr int kWarpSize = 32; // fixed across all Nvidia generations
+/// 1024 threads per block: the CUDA hardware limit, in warps.
+inline constexpr int kMaxWarpsPerBlock = 1024 / kWarpSize;
 
 struct Dim3 {
     std::int64_t x = 1;

@@ -1,6 +1,7 @@
 #include "simt/engine.hpp"
 
 #include "core/check.hpp"
+#include "simt/block_executor.hpp"
 #include "simt/hazard_checker.hpp"
 #include "simt/profiler.hpp"
 #include "simt/shared_memory.hpp"
@@ -135,6 +136,15 @@ std::int64_t run_block(Dim3 block_idx, const LaunchConfig& cfg,
     return Dim3{lin % grid.x, (lin / grid.x) % grid.y, lin / (grid.x * grid.y)};
 }
 
+/// Options::num_threads resolved: 0 = hardware concurrency (at least 1).
+[[nodiscard]] int resolve_threads(int requested) noexcept
+{
+    if (requested > 0)
+        return requested;
+    return static_cast<int>(
+        std::max(1u, std::thread::hardware_concurrency()));
+}
+
 /// Installs the block identity for the overlap detector and writes the
 /// "while executing block (x,y,z)" context line that check_failed appends
 /// to abort reports raised from inside this block.
@@ -175,26 +185,35 @@ private:
 
 } // namespace
 
+Engine::Engine() = default;
+
+Engine::Engine(Options opt) : opt_(opt) {}
+
+Engine::~Engine() = default;
+
+BlockExecutor& Engine::executor()
+{
+    if (!executor_)
+        executor_ = std::make_unique<BlockExecutor>(
+            resolve_threads(opt_.num_threads), opt_.smem_capacity_bytes);
+    return *executor_;
+}
+
 LaunchStats Engine::launch(const KernelInfo& info, LaunchConfig cfg,
                            const WarpProgram& program)
 {
     SATGPU_EXPECTS(cfg.grid.x > 0 && cfg.grid.y > 0 && cfg.grid.z > 0);
     SATGPU_EXPECTS(cfg.block.count() > 0 &&
                    cfg.block.count() % kWarpSize == 0);
-    SATGPU_EXPECTS(cfg.block.count() <= 1024); // CUDA hardware limit
+    SATGPU_EXPECTS(cfg.warps_per_block() <= kMaxWarpsPerBlock);
 
     LaunchStats stats;
     stats.info = info;
     stats.config = cfg;
 
     const std::int64_t total = cfg.total_blocks();
-    int threads = opt_.num_threads;
-    if (threads <= 0) {
-        const unsigned hc = std::thread::hardware_concurrency();
-        threads = hc == 0 ? 1 : static_cast<int>(hc);
-    }
-    threads = static_cast<int>(
-        std::min<std::int64_t>(threads, total));
+    const int threads = static_cast<int>(
+        std::min<std::int64_t>(resolve_threads(opt_.num_threads), total));
 
     const std::uint64_t epoch = new_launch_epoch();
 
@@ -274,31 +293,28 @@ LaunchStats Engine::launch(const KernelInfo& info, LaunchConfig cfg,
         std::optional<Fault> fault;
         std::mutex fault_mu;
 
-        std::vector<std::thread> pool;
-        pool.reserve(workers.size());
-        for (auto& worker : workers) {
-            pool.emplace_back([&, w = &worker] {
-                CounterScope scope(w->counters);
-                ProfilerScope pscope(opt_.profile ? &w->prof : nullptr);
-                HazardCheckerScope hscope(opt_.check ? &w->check : nullptr);
-                for (;;) {
-                    const std::int64_t lin =
-                        next.fetch_add(1, std::memory_order_relaxed);
-                    if (lin >= total)
-                        break;
-                    try {
-                        const std::int64_t used = run_one(lin, w->counters);
-                        w->smem_peak = std::max(w->smem_peak, used);
-                    } catch (...) {
-                        const std::lock_guard<std::mutex> lk(fault_mu);
-                        if (!fault || lin < fault->linear)
-                            fault = Fault{lin, std::current_exception()};
-                    }
+        // The scopes are the job's own: the executor's contract is that a
+        // worker has no sink installed between jobs (block_executor.hpp).
+        executor().run(threads, [&](int index) {
+            Worker& w = workers[static_cast<std::size_t>(index)];
+            CounterScope scope(w.counters);
+            ProfilerScope pscope(opt_.profile ? &w.prof : nullptr);
+            HazardCheckerScope hscope(opt_.check ? &w.check : nullptr);
+            for (;;) {
+                const std::int64_t lin =
+                    next.fetch_add(1, std::memory_order_relaxed);
+                if (lin >= total)
+                    break;
+                try {
+                    const std::int64_t used = run_one(lin, w.counters);
+                    w.smem_peak = std::max(w.smem_peak, used);
+                } catch (...) {
+                    const std::lock_guard<std::mutex> lk(fault_mu);
+                    if (!fault || lin < fault->linear)
+                        fault = Fault{lin, std::current_exception()};
                 }
-            });
-        }
-        for (auto& t : pool)
-            t.join();
+            }
+        });
 
         if (fault)
             rethrow_as_block_fault(fault->linear, cfg.grid, info.name,

@@ -1,7 +1,9 @@
 // Engine: launches simulated kernels over a grid of blocks.
 //
 // Blocks are independent (as on hardware, which guarantees no inter-block
-// ordering) and execute on a pool of host worker threads; within a block,
+// ordering) and execute on the caller plus the engine's persistent host
+// worker threads (simt/block_executor.hpp), or on the caller alone when
+// one thread suffices; within a block,
 // warps are coroutines scheduled round-robin between barriers (rendezvous
 // semantics: a barrier releases once every not-yet-finished warp of the
 // block is suspended at one).  Each launch returns the event counters the
@@ -36,6 +38,7 @@ namespace satgpu::simt {
 
 struct ProfileReport; // profiler.hpp
 struct HazardReport;  // hazard_checker.hpp
+class BlockExecutor;  // block_executor.hpp
 
 /// Result of one simulated kernel launch.
 struct LaunchStats {
@@ -115,8 +118,11 @@ public:
         bool check = false;
     };
 
-    Engine() = default;
-    explicit Engine(Options opt) : opt_(opt) {}
+    Engine();
+    explicit Engine(Options opt);
+    ~Engine();
+    Engine(const Engine&) = delete;
+    Engine& operator=(const Engine&) = delete;
 
     /// Execute `program` for every warp of every block in `cfg`.  Not
     /// reentrant: one launch at a time per Engine (kernels inside a launch
@@ -132,6 +138,13 @@ public:
     void clear_history() { history_.clear(); }
 
     [[nodiscard]] const Options& options() const noexcept { return opt_; }
+
+    /// The persistent executor this engine's launches run blocks on
+    /// (block_executor.hpp): Options::num_threads slots -- the launching
+    /// thread plus num_threads - 1 worker threads, started on first use
+    /// (the first multi-threaded simulator launch or the first native
+    /// launch) and joined when the engine is destroyed.
+    [[nodiscard]] BlockExecutor& executor();
 
     /// Toggle the hazard checker for subsequent launches (Options::check).
     /// Not synchronized against an in-flight launch; callers flip it only
@@ -163,6 +176,7 @@ private:
     Options opt_;
     std::string_view phase_;
     std::vector<LaunchStats> history_;
+    std::unique_ptr<BlockExecutor> executor_;
 };
 
 /// Scoped elevation of Engine::Options::check: enables the hazard checker

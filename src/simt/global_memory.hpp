@@ -82,8 +82,8 @@ public:
     {
         LaneVec<T> r{};
         if (current_counters() == nullptr) {
-            // Uninstrumented fast path (the native backend's fresh worker
-            // threads): only the bounds-checked data movement.
+            // Uninstrumented fast path (every native block): only the
+            // bounds-checked data movement.
             for (int l = 0; l < kWarpSize; ++l) {
                 if (!lane_active(active, l))
                     continue;

@@ -11,8 +11,6 @@ namespace satgpu::simt {
 
 namespace {
 
-thread_local HazardChecker* g_hazard_checker = nullptr;
-
 [[nodiscard]] std::string site_string(const std::source_location& site)
 {
     return trim_source_path(site.file_name()) + ":" +
@@ -35,15 +33,16 @@ std::string_view to_string(HazardKind k) noexcept
     return "?";
 }
 
-HazardChecker* current_hazard_checker() noexcept { return g_hazard_checker; }
-
 HazardCheckerScope::HazardCheckerScope(HazardChecker* c) noexcept
-    : prev_(g_hazard_checker)
+    : prev_(detail::g_hazard_checker)
 {
-    g_hazard_checker = c;
+    detail::g_hazard_checker = c;
 }
 
-HazardCheckerScope::~HazardCheckerScope() { g_hazard_checker = prev_; }
+HazardCheckerScope::~HazardCheckerScope()
+{
+    detail::g_hazard_checker = prev_;
+}
 
 void HazardChecker::begin_block(std::int64_t linear) noexcept
 {

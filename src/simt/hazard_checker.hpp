@@ -200,11 +200,18 @@ private:
     int warp_ = -1;                  // warp currently resumed (-1 = none)
 };
 
+namespace detail {
+inline constinit thread_local HazardChecker* g_hazard_checker = nullptr;
+} // namespace detail
+
 /// Thread-local checker installation, mirroring CounterScope /
 /// ProfilerScope.  Installing nullptr is a no-op scope (checking disabled
-/// on this thread); kernels pay one thread-local null check per memory
-/// access when the checker is off.
-[[nodiscard]] HazardChecker* current_hazard_checker() noexcept;
+/// on this thread); kernels pay one inline thread-local null check per
+/// memory access when the checker is off.
+[[nodiscard]] inline HazardChecker* current_hazard_checker() noexcept
+{
+    return detail::g_hazard_checker;
+}
 
 class HazardCheckerScope {
 public:

@@ -1,11 +1,16 @@
 #include "simt/native_backend.hpp"
 
+#include "simt/block_executor.hpp"
+#include "simt/hazard_checker.hpp"
+#include "simt/perf_counters.hpp"
+#include "simt/profiler.hpp"
+
 #include <algorithm>
 #include <atomic>
 #include <exception>
 #include <mutex>
 #include <optional>
-#include <thread>
+#include <utility>
 
 namespace satgpu::simt {
 
@@ -17,22 +22,37 @@ namespace {
                 lin / (grid.x * grid.y)};
 }
 
+/// Hides the calling thread's instrumentation -- counter sink, profiler,
+/// hazard checker, block identity -- for the scope's lifetime.
+class Uninstrumented {
+public:
+    Uninstrumented() noexcept
+        : counters_(std::exchange(detail::g_counter_sink, nullptr))
+    {
+    }
+    ~Uninstrumented() { detail::g_counter_sink = counters_; }
+    Uninstrumented(const Uninstrumented&) = delete;
+    Uninstrumented& operator=(const Uninstrumented&) = delete;
+
+private:
+    PerfCounters* counters_;
+    ProfilerScope profiler_{nullptr};
+    HazardCheckerScope checker_{nullptr};
+    BlockScope block_{BlockIdentity{}};
+};
+
 } // namespace
 
-LaunchStats native_launch(const Engine::Options& opt, const KernelInfo& info,
+LaunchStats native_launch(Engine& eng, const KernelInfo& info,
                           LaunchConfig cfg, const NativeBlockProgram& program)
 {
     SATGPU_EXPECTS(cfg.grid.x > 0 && cfg.grid.y > 0 && cfg.grid.z > 0);
     SATGPU_EXPECTS(cfg.warps_per_block() > 0);
+    SATGPU_EXPECTS(cfg.warps_per_block() <= kMaxWarpsPerBlock);
     const std::int64_t total = cfg.total_blocks();
-
-    const int requested =
-        opt.num_threads > 0
-            ? opt.num_threads
-            : static_cast<int>(
-                  std::max(1u, std::thread::hardware_concurrency()));
-    const int workers = static_cast<int>(
-        std::min<std::int64_t>(std::max(requested, 1), total));
+    BlockExecutor& exec = eng.executor();
+    const int workers =
+        static_cast<int>(std::min<std::int64_t>(exec.size(), total));
 
     // First-fault bookkeeping (lowest linear block wins, as in the
     // simulator's scheduler, so fault reports stay deterministic).
@@ -45,7 +65,20 @@ LaunchStats native_launch(const Engine::Options& opt, const KernelInfo& info,
     std::int64_t smem_peak = 0;
 
     std::atomic<std::int64_t> next{0};
-    auto worker = [&] {
+    exec.run(workers, [&](int slot) {
+        // The no-instrumentation guarantee (see header): slot 0 is the
+        // launching thread, whose sinks are hidden for the job; every other
+        // slot is an executor worker, which never has one installed.
+        std::optional<Uninstrumented> hide;
+        if (slot == 0)
+            hide.emplace();
+        SATGPU_CHECK(current_counters() == nullptr &&
+                         current_profiler() == nullptr &&
+                         current_hazard_checker() == nullptr &&
+                         current_block().linear < 0,
+                     "native block executor worker has instrumentation "
+                     "installed");
+        NativeBlockCtx& blk = exec.native_ctx(slot);
         std::int64_t local_peak = 0;
         for (;;) {
             const std::int64_t lin =
@@ -53,8 +86,7 @@ LaunchStats native_launch(const Engine::Options& opt, const KernelInfo& info,
             if (lin >= total)
                 break;
             try {
-                NativeBlockCtx blk(block_from_linear(lin, cfg.grid), cfg,
-                                   opt.smem_capacity_bytes);
+                blk.reset(block_from_linear(lin, cfg.grid), cfg);
                 program(blk);
                 local_peak = std::max(local_peak, blk.smem_bytes_used());
             } catch (...) {
@@ -65,16 +97,7 @@ LaunchStats native_launch(const Engine::Options& opt, const KernelInfo& info,
         }
         const std::lock_guard<std::mutex> lock(mu);
         smem_peak = std::max(smem_peak, local_peak);
-    };
-
-    // Always spawn fresh threads -- never run on the caller, whose
-    // thread-local instrumentation state is unknown (see header).
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(workers));
-    for (int i = 0; i < workers; ++i)
-        threads.emplace_back(worker);
-    for (std::thread& t : threads)
-        t.join();
+    });
 
     if (fault) {
         try {

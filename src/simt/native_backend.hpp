@@ -7,8 +7,11 @@
 // written against -- as plain loops: no coroutines, no counters, no shadow
 // state.  Every warp primitive (LaneVec arithmetic, shfl_*, ballot/any/all,
 // SmemView, DeviceBuffer) already degrades to a bounds-checked plain loop
-// when no thread-local sink is installed, so the native path reuses those
-// functions verbatim; what changes is only the schedule.
+// when no thread-local sink is installed (one inline TLS load decides),
+// and the row-shaped accesses (DeviceBuffer and SmemView load_row /
+// store_row, SmemView::load_strided) to one span check and a straight
+// copy, so the native path reuses those functions verbatim; what changes
+// is only the schedule.
 //
 // Schedule: where the simulator interleaves warp coroutines between
 // barriers, the native backend runs each block PHASE-MAJOR -- for every
@@ -17,9 +20,15 @@
 // unsynchronized cross-warp dependency, which is what the hazard checker's
 // certificate establishes (sat::Runtime only selects this backend for
 // hazard-certified plans).  Blocks are independent, as on hardware, and
-// are distributed over a pool of FRESH host threads: a fresh thread has no
-// thread-local counter/profiler/checker/block state, so instrumentation is
-// structurally absent rather than merely disabled.
+// are distributed over the slots of the Engine's persistent BlockExecutor
+// (simt/block_executor.hpp): the launching thread plus num_threads - 1
+// kept worker threads.  A worker never has a thread-local counter,
+// profiler, checker or block identity installed between jobs, and the
+// launching thread's are hidden for the launch, so instrumentation is
+// absent rather than merely disabled; each native job checks this when it
+// starts.  Each slot reuses one NativeBlockCtx -- shared-memory arena,
+// warp contexts, register scratch -- across blocks and launches, clearing
+// only the shared-memory bytes the previous block used.
 #pragma once
 
 #include "simt/dim3.hpp"
@@ -27,8 +36,12 @@
 #include "simt/lane_vec.hpp"
 #include "simt/shared_memory.hpp"
 
+#include <cstddef>
 #include <functional>
+#include <memory>
+#include <span>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace satgpu::simt {
@@ -75,17 +88,30 @@ private:
     SharedMemory* smem_;
 };
 
-/// One block's native execution context: owns the block's shared-memory
-/// arena and hands out a NativeWarpCtx per warp.  Confined to the one host
-/// thread running the block, like the simulator's per-block state.
+/// An executor slot's native block context: owns the shared-memory arena
+/// and per-warp register scratch, and hands out a NativeWarpCtx per warp
+/// of the block it is running.  Each BlockExecutor slot keeps one for the
+/// executor's lifetime and reset()s it per block, so a steady-state launch
+/// allocates nothing per block.  Used by one thread at a time, like the
+/// simulator's per-block state.
 class NativeBlockCtx {
 public:
-    NativeBlockCtx(Dim3 block_idx, const LaunchConfig& cfg,
-                   std::int64_t smem_capacity_bytes)
+    explicit NativeBlockCtx(std::int64_t smem_capacity_bytes)
         : smem_(smem_capacity_bytes)
     {
+    }
+    // The warp contexts point at smem_.
+    NativeBlockCtx(const NativeBlockCtx&) = delete;
+    NativeBlockCtx& operator=(const NativeBlockCtx&) = delete;
+
+    /// Begin block `block_idx` of `cfg`: zero the shared memory the
+    /// previous block used (SharedMemory::reset) and rebuild the warp
+    /// contexts, keeping every buffer's storage.
+    void reset(Dim3 block_idx, const LaunchConfig& cfg)
+    {
+        smem_.reset();
         const int wc = static_cast<int>(cfg.warps_per_block());
-        warps_.reserve(static_cast<std::size_t>(wc));
+        warps_.clear();
         for (int i = 0; i < wc; ++i)
             warps_.emplace_back(block_idx, cfg, i, &smem_);
     }
@@ -107,33 +133,58 @@ public:
         return smem_.bytes_used();
     }
 
+    /// One T per warp of the block -- a block program's hoisted per-warp
+    /// register state, e.g. a RegTile each -- in storage reused across
+    /// blocks and launches.  The contents are unspecified (whatever an
+    /// earlier block left): callers write every element before reading it.
+    /// One live span per block; a second call reuses the same storage.
+    template <typename T>
+    [[nodiscard]] std::span<T> warp_scratch()
+    {
+        static_assert(std::is_trivially_copyable_v<T> &&
+                          std::is_trivially_destructible_v<T> &&
+                          alignof(T) <= alignof(std::max_align_t),
+                      "warp scratch holds plain register values");
+        const std::size_t n = warps_.size();
+        const std::size_t words =
+            (n * sizeof(T) + sizeof(std::max_align_t) - 1) /
+            sizeof(std::max_align_t);
+        if (scratch_.size() < words)
+            scratch_.resize(words);
+        T* const p = reinterpret_cast<T*>(scratch_.data());
+        std::uninitialized_default_construct_n(p, n); // no-op: starts lifetimes
+        return {p, n};
+    }
+
 private:
     SharedMemory smem_;
     std::vector<NativeWarpCtx> warps_;
+    std::vector<std::max_align_t> scratch_;
 };
 
 /// A native block program: invoked once per block with that block's
 /// context; runs every warp of the block to completion (phase-major).
-/// Invoked concurrently from fresh worker threads, one block at a time per
-/// thread, so it must be callable from any thread.
+/// Invoked concurrently from the engine's executor slots, one block at a
+/// time per slot, so it must be callable from any thread.
 using NativeBlockProgram = std::function<void(NativeBlockCtx&)>;
 
-/// Execute `program` for every block of `cfg` on a pool of freshly spawned
-/// host threads (work-stealing over linear block indices;
-/// `opt.num_threads` threads, 0 = hardware concurrency).  Threads are
-/// always spawned -- even for one block -- because a fresh thread is the
-/// no-instrumentation guarantee: no counter sink, no profiler, no hazard
-/// checker, no block identity is installed on it.
+/// Execute `program` for every block of `cfg` on `eng`'s persistent
+/// BlockExecutor (work-stealing over linear block indices;
+/// `Options::num_threads` slots, 0 = hardware concurrency; slot 0 is the
+/// calling thread).  No block sees a counter sink, profiler, hazard
+/// checker or block identity: the caller's are hidden for the launch, a
+/// worker thread never has one installed between jobs, and each job checks
+/// so when it starts.
 ///
 /// The returned LaunchStats carries the launch geometry and the measured
 /// shared-memory peak; every event counter is zero except `blocks` and
 /// `warps` (derived from the geometry).  The native path does not model
-/// GPU time -- it IS the fast path, measured in wall clock.
+/// GPU time -- it IS the fast path, measured in wall clock.  Like
+/// Engine::launch, one launch at a time per Engine.
 ///
 /// Faults follow Engine::launch's contract: if block programs throw, the
 /// fault of the lowest linear block index is rethrown as BlockFault.
-[[nodiscard]] LaunchStats native_launch(const Engine::Options& opt,
-                                        const KernelInfo& info,
+[[nodiscard]] LaunchStats native_launch(Engine& eng, const KernelInfo& info,
                                         LaunchConfig cfg,
                                         const NativeBlockProgram& program);
 

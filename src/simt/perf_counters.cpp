@@ -5,7 +5,6 @@
 namespace satgpu::simt {
 
 namespace {
-thread_local PerfCounters* g_sink = nullptr;
 thread_local BlockIdentity g_block;
 std::atomic<std::uint64_t> g_launch_epoch{0};
 } // namespace
@@ -63,14 +62,13 @@ PerfCounters counters_delta(const PerfCounters& now,
     return d;
 }
 
-PerfCounters* current_counters() noexcept { return g_sink; }
-
-CounterScope::CounterScope(PerfCounters& sink) noexcept : prev_(g_sink)
+CounterScope::CounterScope(PerfCounters& sink) noexcept
+    : prev_(detail::g_counter_sink)
 {
-    g_sink = &sink;
+    detail::g_counter_sink = &sink;
 }
 
-CounterScope::~CounterScope() { g_sink = prev_; }
+CounterScope::~CounterScope() { detail::g_counter_sink = prev_; }
 
 BlockIdentity current_block() noexcept { return g_block; }
 

@@ -97,11 +97,19 @@ struct PerfCounters {
 [[nodiscard]] PerfCounters counters_delta(const PerfCounters& now,
                                           const PerfCounters& then) noexcept;
 
+namespace detail {
+inline constinit thread_local PerfCounters* g_counter_sink = nullptr;
+} // namespace detail
+
 /// The simulator routes counts through a scoped thread-local sink so that
 /// kernel code stays free of instrumentation plumbing.  The engine installs
 /// a sink for the duration of each launch; code running outside any launch
-/// (unit tests poking at primitives directly) may install its own.
-[[nodiscard]] PerfCounters* current_counters() noexcept;
+/// (unit tests poking at primitives directly) may install its own.  Inline
+/// so the uninstrumented path's null check is one TLS load, not a call.
+[[nodiscard]] inline PerfCounters* current_counters() noexcept
+{
+    return detail::g_counter_sink;
+}
 
 class CounterScope {
 public:

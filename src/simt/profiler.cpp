@@ -11,25 +11,22 @@ namespace satgpu::simt {
 
 namespace {
 
-thread_local Profiler* g_profiler = nullptr;
-
 constexpr std::string_view kSiteKindNames[] = {"smem-ld", "smem-st",
                                                "gmem-ld", "gmem-st"};
 
 } // namespace
 
-Profiler* current_profiler() noexcept { return g_profiler; }
-
-ProfilerScope::ProfilerScope(Profiler* p) noexcept : prev_(g_profiler)
+ProfilerScope::ProfilerScope(Profiler* p) noexcept
+    : prev_(detail::g_profiler)
 {
-    g_profiler = p;
+    detail::g_profiler = p;
 }
 
 ProfilerScope::~ProfilerScope()
 {
-    if (g_profiler)
-        g_profiler->finish();
-    g_profiler = prev_;
+    if (detail::g_profiler)
+        detail::g_profiler->finish();
+    detail::g_profiler = prev_;
 }
 
 std::uint64_t block_virtual_cycles(const PerfCounters& c) noexcept

@@ -194,9 +194,16 @@ private:
     Dim3 open_block_idx_;
 };
 
+namespace detail {
+inline constinit thread_local Profiler* g_profiler = nullptr;
+} // namespace detail
+
 /// Thread-local profiler installation, mirroring CounterScope.  Installing
 /// nullptr is a no-op scope (profiling disabled on this thread).
-[[nodiscard]] Profiler* current_profiler() noexcept;
+[[nodiscard]] inline Profiler* current_profiler() noexcept
+{
+    return detail::g_profiler;
+}
 
 class ProfilerScope {
 public:

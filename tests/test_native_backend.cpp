@@ -1,9 +1,10 @@
 // Native-backend battery (docs/backends.md): the warp primitives' edge
 // cases under the UNINSTRUMENTED lowering (no PerfCounters / HazardChecker
-// in TLS -- the exact state the native backend's worker threads run in),
-// bit-identity between that lowering and the instrumented one, the
-// Runtime's certification gate (including refusal of a deliberately broken
-// fixture), and the Service's per-backend plan-cache separation.
+// in TLS -- the exact state every native block runs in), bit-identity
+// between that lowering and the instrumented one (shared-memory row ops
+// included), the block executor's contract, the Runtime's certification
+// gate (including refusal of a deliberately broken fixture), and the
+// Service's per-backend plan-cache separation.
 //
 // The primitive tests matter because the fast paths are separate code: a
 // shuffle, scan or predicated add that diverges from the instrumented form
@@ -13,12 +14,21 @@
 #include "sat/runtime.hpp"
 #include "sat/service.hpp"
 #include "scan/warp_scan.hpp"
+#include "simt/native_backend.hpp"
 #include "simt/shuffle.hpp"
 #include "simt/vote.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <source_location>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <tuple>
+#include <vector>
 
 namespace sat = satgpu::sat;
 namespace scan = satgpu::scan;
@@ -246,6 +256,239 @@ TEST(NativeLowering, ContiguousRowIoHonorsSegmentEdgeMasks)
     }
 }
 
+// ------------------------------------------------ shared-memory row ops --
+
+namespace {
+
+constexpr int kTileElems = 32 * 33;
+
+/// A 32x33 int tile whose element i holds 5000 + i.
+simt::SmemView<int> filled_tile(simt::SharedMemory& smem)
+{
+    auto v = smem.alloc<int>("tile", kTileElems);
+    for (std::int64_t r = 0; r < kTileElems; r += kWarpSize)
+        v.store(LaneVec<std::int64_t>::lane_index() + r,
+                iota_vec(5000 + static_cast<int>(r)),
+                simt::lanes_in_range(r, kTileElems));
+    return v;
+}
+
+/// The BRLT traffic pattern once through the row ops and once through the
+/// per-lane ops they claim to equal, at one shared call site so hazard
+/// records and profiler sites can be compared field for field.  Warp 1
+/// reads a column before anything is written (uninit reads), warp 0
+/// stores rows, warp 1 reads columns back (RAW) and overwrites a row
+/// (WAW).  Returns everything the loads saw.
+std::vector<int> brlt_traffic(simt::SmemView<int> v, std::int64_t stride,
+                              bool row_ops, std::source_location site)
+{
+    const auto lane = LaneVec<std::int64_t>::lane_index();
+    std::vector<int> seen;
+    const auto keep = [&](const LaneVec<int>& r) {
+        for (int l = 0; l < kWarpSize; ++l)
+            seen.push_back(r.get(l));
+    };
+    simt::HazardChecker* const hc = simt::current_hazard_checker();
+    const auto as_warp = [&](int w) {
+        if (hc)
+            hc->set_active_warp(w);
+    };
+    as_warp(1);
+    keep(row_ops ? v.load_strided(3, stride, simt::kFullMask, site)
+                 : v.load(lane * stride + std::int64_t{3}, simt::kFullMask,
+                          site));
+    as_warp(0);
+    for (int j = 0; j < kWarpSize; ++j) {
+        const std::int64_t first = j * stride;
+        const auto val = iota_vec(100 * j);
+        if (row_ops)
+            v.store_row(first, val, simt::kFullMask, site);
+        else
+            v.store(lane + first, val, simt::kFullMask, site);
+    }
+    as_warp(1);
+    for (int j = 0; j < kWarpSize; ++j) {
+        keep(row_ops ? v.load_strided(j, stride, simt::kFullMask, site)
+                     : v.load(lane * stride + std::int64_t{j},
+                              simt::kFullMask, site));
+        keep(row_ops ? v.load_row(j * stride, simt::kFullMask, site)
+                     : v.load(lane + std::int64_t{j} * stride,
+                              simt::kFullMask, site));
+    }
+    if (row_ops)
+        v.store_row(stride, iota_vec(-7), simt::kFullMask, site);
+    else
+        v.store(lane + stride, iota_vec(-7), simt::kFullMask, site);
+    as_warp(-1);
+    return seen;
+}
+
+void expect_same_hazards(const simt::HazardReport& a,
+                         const simt::HazardReport& b)
+{
+    ASSERT_EQ(a.hazards.size(), b.hazards.size());
+    for (std::size_t i = 0; i < a.hazards.size(); ++i) {
+        const simt::Hazard& x = a.hazards[i];
+        const simt::Hazard& y = b.hazards[i];
+        EXPECT_EQ(x.kind, y.kind);
+        EXPECT_EQ(x.site, y.site);
+        EXPECT_EQ(x.other_site, y.other_site);
+        EXPECT_EQ(x.note, y.note);
+        EXPECT_EQ(x.count, y.count);
+        EXPECT_EQ(x.first_block, y.first_block);
+        EXPECT_EQ(x.detail, y.detail);
+        EXPECT_EQ(x.warp, y.warp);
+        EXPECT_EQ(x.other_warp, y.other_warp);
+    }
+}
+
+} // namespace
+
+TEST(NativeLowering, SmemRowOpsMatchPerLaneOpsOnFastPath)
+{
+    simt::SharedMemory smem(8 * 1024);
+    const auto v = filled_tile(smem);
+    const auto lane = LaneVec<std::int64_t>::lane_index();
+    for (const std::int64_t first : {0, 1, 33, 500, kTileElems - 32}) {
+        expect_lanes_eq(v.load_row(first), v.load(lane + first),
+                        "load_row");
+    }
+    for (const std::int64_t stride : {0, 1, 32, 33}) {
+        for (const std::int64_t first : {0, 5, 32}) {
+            expect_lanes_eq(v.load_strided(first, stride),
+                            v.load(lane * stride + first), "load_strided");
+        }
+    }
+
+    simt::SharedMemory a(8 * 1024), b(8 * 1024);
+    auto va = filled_tile(a);
+    auto vb = filled_tile(b);
+    for (const std::int64_t first : {0, 7, 33, kTileElems - 32}) {
+        va.store_row(first, iota_vec(-static_cast<int>(first)));
+        vb.store(lane + first, iota_vec(-static_cast<int>(first)));
+    }
+    for (std::int64_t r = 0; r + kWarpSize <= kTileElems; r += kWarpSize)
+        expect_lanes_eq(va.load_row(r), vb.load_row(r), "store_row");
+}
+
+TEST(NativeLowering, SmemRowOpsMatchPerLaneCountersAndHazards)
+{
+    // Stride 33 is BRLT's conflict-free padding, 32 its 32-way-conflicted
+    // ablation: the delegated path must report both exactly.
+    for (const std::int64_t stride : {33, 32}) {
+        const auto site = std::source_location::current();
+        const auto run = [&](bool row_ops) {
+            simt::PerfCounters c;
+            simt::HazardChecker hc;
+            std::vector<int> seen;
+            {
+                simt::CounterScope cs(c);
+                simt::HazardCheckerScope hs(&hc);
+                hc.begin_block(0);
+                simt::SharedMemory smem(8 * 1024);
+                seen = brlt_traffic(smem.alloc<int>("tile", kTileElems),
+                                    stride, row_ops, site);
+                hc.end_block();
+            }
+            return std::tuple{c, hc.build_report(), seen};
+        };
+        const auto [c_row, h_row, seen_row] = run(true);
+        const auto [c_lane, h_lane, seen_lane] = run(false);
+        EXPECT_EQ(seen_row, seen_lane) << "stride " << stride;
+        EXPECT_TRUE(c_row == c_lane) << "stride " << stride;
+        EXPECT_GT(c_row.smem_ld_req, 0u);
+        EXPECT_EQ(c_row.smem_ld_trans > c_row.smem_ld_req, stride == 32);
+        EXPECT_FALSE(h_row.clean());
+        expect_same_hazards(h_row, h_lane);
+
+        // The fast path moves the same data.
+        simt::SharedMemory smem(8 * 1024);
+        EXPECT_EQ(brlt_traffic(smem.alloc<int>("tile", kTileElems), stride,
+                               /*row_ops=*/true, site),
+                  seen_lane);
+    }
+}
+
+TEST(NativeLowering, SmemRowOpsWithPartialMaskTakePerLanePath)
+{
+    simt::SharedMemory smem(8 * 1024);
+    const auto v = filled_tile(smem);
+    const auto lane = LaneVec<std::int64_t>::lane_index();
+    for (const int limit : {0, 1, 31}) {
+        const LaneMask m = simt::lanes_in_range(0, limit);
+        // An inactive lane may point past the tile: only active lanes are
+        // bounds checked, exactly as in load()/store().
+        const std::int64_t first = kTileElems - limit;
+        const auto r = v.load_row(first, m);
+        expect_lanes_eq(r, v.load(lane + first, m), "masked load_row");
+        for (int l = limit; l < kWarpSize; ++l)
+            EXPECT_EQ(r.get(l), 0);
+        expect_lanes_eq(v.load_strided(first, 1, m),
+                        v.load(lane + first, m), "masked load_strided");
+    }
+
+    // Masked counts are the per-lane ones (active lanes only).
+    simt::PerfCounters c_row, c_lane;
+    const LaneMask m = simt::lanes_in_range(0, 5);
+    {
+        simt::CounterScope cs(c_row);
+        simt::SharedMemory s(8 * 1024);
+        auto t = s.alloc<int>("tile", kTileElems);
+        t.store_row(10, iota_vec(), m);
+        (void)t.load_strided(10, 33, m);
+    }
+    {
+        simt::CounterScope cs(c_lane);
+        simt::SharedMemory s(8 * 1024);
+        auto t = s.alloc<int>("tile", kTileElems);
+        t.store(lane + std::int64_t{10}, iota_vec(), m);
+        (void)t.load(lane * std::int64_t{33} + std::int64_t{10}, m);
+    }
+    EXPECT_TRUE(c_row == c_lane);
+    EXPECT_EQ(c_row.smem_bytes_st, 5 * sizeof(int));
+}
+
+TEST(NativeLoweringDeathTest, SmemRowOpsStillBoundsCheckOnFastPath)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    simt::SharedMemory smem(8 * 1024);
+    auto v = smem.alloc<int>("tile", kTileElems);
+    EXPECT_DEATH(v.store_row(kTileElems - 31, iota_vec()),
+                 "smem store out of bounds");
+    EXPECT_DEATH(v.store_row(-1, iota_vec()), "smem store out of bounds");
+    EXPECT_DEATH((void)v.load_row(kTileElems - 31),
+                 "smem load out of bounds");
+    EXPECT_DEATH((void)v.load_strided(2, 34), "smem load out of bounds");
+    EXPECT_DEATH((void)v.load_strided(-1, 1), "smem load out of bounds");
+}
+
+TEST(NativeLoweringDeathTest, OnDemandArenaStillEnforcesCapacity)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    simt::SharedMemory smem(1024);
+    EXPECT_EQ(smem.bytes_used(), 0);
+    (void)smem.alloc<int>("small", 8); // grows the arena to 32 bytes
+    EXPECT_DEATH((void)smem.alloc<double>("big", 127), "capacity");
+    (void)smem.alloc<double>("fits", 124); // 32 + 992 = 1024 exactly
+    EXPECT_EQ(smem.bytes_used(), 1024);
+}
+
+TEST(NativeLowering, ResetArenaReadsZeroAgain)
+{
+    simt::SharedMemory smem(8 * 1024);
+    auto a = smem.alloc<int>("a", 100);
+    for (std::int64_t i = 0; i + kWarpSize <= 100; i += kWarpSize)
+        a.store_row(i, iota_vec(1));
+    smem.reset();
+    EXPECT_EQ(smem.bytes_used(), 0);
+    // A different layout over the dirtied bytes: all zero, and a name the
+    // previous block declared with another type is free again.
+    (void)smem.alloc<char>("pad", 3);
+    auto b = smem.alloc<double>("a", 64);
+    for (std::int64_t i = 0; i < 64; i += kWarpSize)
+        expect_lanes_eq(b.load_row(i), LaneVec<double>{}, "after reset");
+}
+
 // ----------------------------------------------------------- warp scans --
 
 TEST(NativeLowering, AllWarpScansMatchInstrumentedBitExactly)
@@ -270,6 +513,191 @@ TEST(NativeLowering, AllWarpScansMatchInstrumentedBitExactly)
                 << scan::to_string(kind) << " lane " << l;
         }
     }
+}
+
+// ------------------------------------------------------ block executor --
+
+namespace {
+
+/// True iff no instrumentation of any kind is installed on this thread.
+bool thread_uninstrumented()
+{
+    return simt::current_counters() == nullptr &&
+           simt::current_hazard_checker() == nullptr &&
+           simt::current_profiler() == nullptr &&
+           simt::current_block().linear < 0;
+}
+
+/// Native launch over `blocks` one-warp blocks; counts the blocks that ran
+/// with any instrumentation visible.
+int native_blocks_instrumented(simt::Engine& eng, std::int64_t blocks)
+{
+    std::atomic<int> bad{0};
+    (void)simt::native_launch(
+        eng, {"tls_probe", 8, 0}, {{blocks, 1, 1}, {kWarpSize, 1, 1}},
+        [&](simt::NativeBlockCtx&) {
+            if (!thread_uninstrumented())
+                bad.fetch_add(1);
+        });
+    return bad.load();
+}
+
+} // namespace
+
+TEST(NativeExecutor, BlocksSeeNoInstrumentationFromTheLaunchingThread)
+{
+    simt::PerfCounters c;
+    simt::CounterScope cs(c);
+    simt::HazardChecker hc;
+    simt::HazardCheckerScope hs(&hc);
+    simt::Profiler prof;
+    simt::ProfilerScope ps(&prof);
+    // One thread: every block runs on the caller; two: the caller shares
+    // them with a worker thread.
+    for (const int threads : {1, 2}) {
+        simt::Engine eng({.num_threads = threads});
+        EXPECT_EQ(native_blocks_instrumented(eng, 16), 0) << threads;
+    }
+    EXPECT_TRUE(c == simt::PerfCounters{}); // nothing reached the caller
+    // The caller's sinks were hidden for the launch, not removed.
+    EXPECT_EQ(simt::current_counters(), &c);
+    EXPECT_EQ(simt::current_hazard_checker(), &hc);
+    EXPECT_EQ(simt::current_profiler(), &prof);
+}
+
+TEST(NativeExecutor, BlocksSeeNoInstrumentationAfterCheckedProfiledSimLaunch)
+{
+    // The simulator's parallel branch installs counter, profiler and
+    // checker scopes on the very workers the native launch reuses.
+    simt::Engine eng({.num_threads = 3, .profile = true, .check = true});
+    const auto stats = eng.launch(
+        {"sim_first", 8, 128}, {{12, 1, 1}, {2 * kWarpSize, 1, 1}},
+        [](simt::WarpCtx& w) -> simt::KernelTask {
+            auto sm = w.smem_alloc<int>("t", 2 * kWarpSize);
+            sm.store_row(std::int64_t{w.warp_id()} * kWarpSize, iota_vec());
+            co_await w.sync();
+            (void)sm.load_row(std::int64_t{1 - w.warp_id()} * kWarpSize);
+        });
+    ASSERT_NE(stats.profile, nullptr);
+    ASSERT_NE(stats.hazards, nullptr);
+    EXPECT_TRUE(stats.hazards->clean());
+    EXPECT_GT(stats.counters.smem_st_req, 0u);
+    EXPECT_EQ(native_blocks_instrumented(eng, 24), 0);
+}
+
+TEST(NativeExecutor, FaultRethrowsLowestBlockAndEngineRecovers)
+{
+    simt::Engine eng({.num_threads = 3});
+    const simt::LaunchConfig cfg{{8, 4, 1}, {2 * kWarpSize, 1, 1}};
+    const auto linear = [](simt::Dim3 b) { return b.y * 8 + b.x; };
+    try {
+        (void)simt::native_launch(
+            eng, {"faulty", 8, 0}, cfg, [&](simt::NativeBlockCtx& blk) {
+                auto sm = blk.warp(0).smem_alloc<int>("dirty", kWarpSize);
+                sm.store_row(0, iota_vec(1));
+                const std::int64_t lin = linear(blk.block_idx());
+                if (lin == 29 || lin == 11 || lin == 17)
+                    throw std::runtime_error("boom " + std::to_string(lin));
+            });
+        FAIL() << "expected BlockFault";
+    } catch (const simt::BlockFault& f) {
+        EXPECT_EQ(f.block_idx.x, 3);
+        EXPECT_EQ(f.block_idx.y, 1);
+        EXPECT_EQ(f.kernel_name, "faulty");
+        EXPECT_NE(std::string(f.what()).find("boom 11"), std::string::npos);
+    }
+
+    // Every worker still serves, and every block starts from zeroed smem.
+    std::atomic<int> ran{0}, dirty{0};
+    const auto stats = simt::native_launch(
+        eng, {"after", 8, 0}, cfg, [&](simt::NativeBlockCtx& blk) {
+            auto sm = blk.warp(0).smem_alloc<int>("dirty", kWarpSize);
+            if ((sm.load_row(0) == LaneVec<int>{}) != simt::kFullMask)
+                dirty.fetch_add(1);
+            ran.fetch_add(1);
+        });
+    EXPECT_EQ(ran.load(), 32);
+    EXPECT_EQ(dirty.load(), 0);
+    EXPECT_EQ(stats.counters.blocks, 32u);
+    EXPECT_EQ(stats.smem_used_bytes, kWarpSize * 4);
+}
+
+TEST(NativeExecutor, ReusedWorkerArenaIsZeroedPerBlock)
+{
+    // One worker: every block reuses the previous block's context.  Each
+    // block declares a different layout, checks it reads zero, then
+    // dirties all of it.
+    simt::Engine eng({.num_threads = 1});
+    std::atomic<int> nonzero{0};
+    std::int64_t peak = 0;
+    for (int launch = 0; launch < 2; ++launch) {
+        const auto stats = simt::native_launch(
+            eng, {"dirty", 8, 0}, {{6, 1, 1}, {kWarpSize, 1, 1}},
+            [&](simt::NativeBlockCtx& blk) {
+                auto& w = blk.warp(0);
+                const auto b = blk.block_idx().x;
+                if (b % 2 == 1)
+                    (void)w.smem_alloc<char>("skew", b);
+                auto ints = w.smem_alloc<int>("ints", 32 * (b + 1));
+                auto dbls = w.smem_alloc<double>("dbls", 32 * (6 - b));
+                for (std::int64_t i = 0; i < ints.size(); i += kWarpSize) {
+                    if ((ints.load_row(i) == LaneVec<int>{}) !=
+                        simt::kFullMask)
+                        nonzero.fetch_add(1);
+                    ints.store_row(i, iota_vec(7));
+                }
+                for (std::int64_t i = 0; i < dbls.size(); i += kWarpSize) {
+                    if ((dbls.load_row(i) == LaneVec<double>{}) !=
+                        simt::kFullMask)
+                        nonzero.fetch_add(1);
+                    dbls.store_row(i, LaneVec<double>::broadcast(2.5));
+                }
+            });
+        peak = std::max(peak, stats.smem_used_bytes);
+    }
+    EXPECT_EQ(nonzero.load(), 0);
+    EXPECT_GT(peak, 0);
+}
+
+TEST(NativeExecutor, ConcurrentRuntimesStayBitExact)
+{
+    // The Service worker shape: each thread owns a Runtime (and so an
+    // Engine and its executor) and launches native plans concurrently.
+    const DtypePair pair{Dtype::u8_, Dtype::u32_};
+    const sat::PlanRequest req{.height = 130,
+                               .width = 97,
+                               .dtypes = pair,
+                               .algorithm = sat::Algorithm::kBrltScanRow,
+                               .backend = sat::Backend::kNative};
+    std::vector<sat::AnyMatrix> images;
+    std::vector<sat::AnyMatrix> want;
+    {
+        sat::Runtime ref({.record_history = false, .num_threads = 1});
+        auto sim_req = req;
+        sim_req.backend = sat::Backend::kSim;
+        const auto sim = ref.plan(sim_req);
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            images.push_back(sat::AnyMatrix::random(pair.in, 130, 97, seed));
+            want.push_back(sim.execute(images.back()).table);
+        }
+    }
+    std::atomic<int> mismatches{0}, not_native{0};
+    const auto client = [&](int threads) {
+        sat::Runtime rt({.record_history = false, .num_threads = threads});
+        const auto plan = rt.plan(req);
+        if (plan.backend() != sat::Backend::kNative)
+            not_native.fetch_add(1);
+        for (int round = 0; round < 6; ++round)
+            for (std::size_t i = 0; i < images.size(); ++i)
+                if (!(plan.execute(images[i]).table == want[i]))
+                    mismatches.fetch_add(1);
+    };
+    std::thread a(client, 2);
+    std::thread b(client, 3);
+    a.join();
+    b.join();
+    EXPECT_EQ(not_native.load(), 0);
+    EXPECT_EQ(mismatches.load(), 0);
 }
 
 // ------------------------------------------------- runtime certification --
