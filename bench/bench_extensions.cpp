@@ -1,11 +1,10 @@
 // Profiles of the library extensions on the simulated GPU: the three-kernel
-// device-wide scan, the integral histogram (one SAT per bin), and the
-// device-side box filter consuming a SAT.  Not a paper figure; included so
-// downstream users can see what these primitives cost on P100-class
-// hardware.
+// device-wide scan, the integral histogram (one SAT per bin, built
+// bin-major), and the box-filter consumer gathering from a materialized
+// SAT.  Not a paper figure; included so downstream users can see what these
+// primitives cost on P100-class hardware.
 #include "bench_common.hpp"
 #include "core/random_fill.hpp"
-#include "sat/box_filter.hpp"
 #include "sat/integral_histogram.hpp"
 #include "scan/device_scan.hpp"
 
@@ -43,9 +42,9 @@ int main()
     fill_random(img, 3, u8{0}, u8{255});
     TablePrinter t2({"bins", "kernel launches", "est. build time (us)",
                      "region query cost"});
+    sat::Runtime rt;
     for (const int bins : {4, 8, 16}) {
-        simt::Engine eng({.record_history = false});
-        const auto ih = sat::integral_histogram(eng, img, bins);
+        const auto ih = sat::integral_histogram_batched(rt, img, bins);
         t2.add_row({TablePrinter::fmt_int(bins),
                     TablePrinter::fmt_int(
                         static_cast<std::int64_t>(ih.launches.size())),
@@ -55,16 +54,19 @@ int main()
     }
     t2.print(std::cout);
 
-    std::cout << "\n-- device box filter from a 1k x 1k SAT --\n\n";
-    Matrix<u8> big(1024, 1024);
-    fill_random(big, 4, u8{0}, u8{255});
-    simt::Engine eng({.record_history = false});
-    const auto table =
-        sat::compute_sat<u32>(eng, big, {sat::Algorithm::kBrltScanRow});
+    std::cout << "\n-- box filter gathering from a 1k x 1k SAT --\n\n";
+    const auto big = sat::AnyMatrix::random(Dtype::u8_, 1024, 1024, 4);
     TablePrinter t3({"radius", "gld sectors", "est. time (us)"});
     for (const std::int64_t r : {2, 8, 32}) {
-        simt::LaunchStats stats;
-        (void)sat::box_filter_device(eng, table.table, r, &stats);
+        const auto plan =
+            rt.plan_query({.height = 1024,
+                           .width = 1024,
+                           .dtypes = {Dtype::u8_, Dtype::u32_},
+                           .algorithm = sat::Algorithm::kBrltScanRow,
+                           .query = sat::BoxFilterSpec{r},
+                           .query_mode = sat::QueryMode::kMaterialize});
+        // Materialized: the SAT passes, then the gather consumer last.
+        const simt::LaunchStats stats = plan.execute(big).launches.back();
         t3.add_row({TablePrinter::fmt_int(r),
                     TablePrinter::fmt_int(static_cast<std::int64_t>(
                         stats.counters.gmem_ld_sectors)),

@@ -44,9 +44,9 @@ int main()
             scene(ty + y, tx + x) = (rng() % 2) ? u8{230} : u8{20};
 
     // Build the integral histogram on the simulated GPU.
-    simt::Engine engine;
+    sat::Runtime rt;
     Stopwatch build;
-    const auto ih = sat::integral_histogram(engine, scene, kBins);
+    const auto ih = sat::integral_histogram_batched(rt, scene, kBins);
     std::cout << "integral histogram: " << kBins << " bins, "
               << ih.launches.size() << " kernel launches, built in "
               << build.elapsed_ms() << " ms (functional simulation)\n";

@@ -39,7 +39,9 @@ int main()
         images.push_back(sat::AnyMatrix::random(
             pair->in, kHeight, kWidth, /*seed=*/100 + std::uint64_t(i)));
 
-    const auto results = plan.execute_batch(images);
+    std::vector<sat::RuntimeResult> results;
+    for (const auto& image : images)
+        results.push_back(plan.execute(image));
 
     // The first image allocates the plan's working set; every later image
     // reuses it.  `allocations` must therefore stay flat across the batch.

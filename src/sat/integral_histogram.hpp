@@ -3,17 +3,13 @@
 // of real-time tracking and HOG-style descriptors the paper's introduction
 // motivates.
 //
-// The bin masks are built on the simulated GPU (a trivial binning kernel),
-// then each mask goes through a SAT.  Two builders:
-//
-//  * integral_histogram: the historical engine-level path, one bin at a
-//    time (mask launch + compute_sat per bin).
-//  * integral_histogram_batched: the 16-64 bin scaling path.  Bin-major
-//    batching end to end -- ONE fused grid.z = bins mask launch writes
-//    every bin plane, then all planes ride one Plan::execute_wave, with
-//    every lease (image staging, masks, the wave's workspaces) drawn from
-//    a single BufferPool partition so the whole build's device footprint
-//    is attributable and bounded by IntegralHistogram::workspace_bytes.
+// integral_histogram_batched builds every bin bin-major (the batching of
+// Poostchi et al., arXiv 1711.01919): ONE fused grid.z = bins binning
+// launch writes every bin's mask plane on the simulated GPU, then all
+// planes ride one Plan::execute_wave, with every lease (image staging,
+// masks, the wave's workspaces) drawn from a single BufferPool partition
+// so the whole build's device footprint is attributable and bounded by
+// IntegralHistogram::workspace_bytes.
 //
 // Binning semantics: bins need NOT divide 256.  bin_width = 256 / bins
 // (floor, >= 1), and the TOP bin absorbs the ragged remainder: a pixel
@@ -36,9 +32,8 @@ struct IntegralHistogram {
     std::int64_t bin_width = 0;
     std::vector<simt::LaunchStats> launches;
     /// Upper bound on the pooled device bytes the build ever held at once
-    /// in its partition (set by integral_histogram_batched; 0 from the
-    /// per-bin builder, which predates the accounting).  Asserted against
-    /// BufferPool::high_water_bytes by the property tests.
+    /// in its partition.  Asserted against BufferPool::high_water_bytes by
+    /// the property tests.
     std::uint64_t workspace_bytes = 0;
 
     [[nodiscard]] std::size_t bins() const noexcept { return tables.size(); }
@@ -106,41 +101,10 @@ inline simt::KernelTask bin_mask_warp(simt::WarpCtx& w,
 
 /// Build the integral histogram of an 8u image with `bins` equal-width
 /// bins (1 <= bins <= 256; the top bin is wider when bins does not divide
-/// 256 -- see the header comment).  One mask launch + one SAT per bin.
-[[nodiscard]] inline IntegralHistogram
-integral_histogram(simt::Engine& eng, const Matrix<u8>& image, int bins,
-                   const Options& opt = {})
-{
-    SATGPU_EXPECTS(bins > 0 && bins <= 256);
-    IntegralHistogram ih;
-    ih.bin_width = 256 / bins;
-    const std::int64_t n = image.size();
-    auto img = simt::DeviceBuffer<u8>::from_matrix(image);
-
-    for (int b = 0; b < bins; ++b) {
-        simt::DeviceBuffer<u8> mask(n);
-        // 256-thread blocks, one 32-element group per warp -> each block
-        // covers 256 elements.
-        ih.launches.push_back(eng.launch(
-            {"bin_mask", 12, 0}, {{ceil_div(n, 256), 1, 1}, {256, 1, 1}},
-            [&](simt::WarpCtx& w) {
-                return detail::bin_mask_warp(w, img, n, b, ih.bin_width,
-                                             bins, mask);
-            }));
-        auto res = compute_sat<u32>(
-            eng, mask.to_matrix(image.height(), image.width()), opt);
-        ih.tables.push_back(std::move(res.table));
-        for (auto& l : res.launches)
-            ih.launches.push_back(std::move(l));
-    }
-    return ih;
-}
-
-/// The 16-64 bin scaling path: bin-major batched build through the
-/// type-erased runtime.  One fused grid.z = bins mask launch, then every
-/// bin plane through a single Plan::execute_wave (each SAT kernel pass
-/// runs once for all bins).  All leases come from `pool_partition` of the
-/// runtime's pool; tables are bit-identical to the per-bin builder's.
+/// 256 -- see the header comment) through the type-erased runtime.  One
+/// fused grid.z = bins mask launch, then every bin plane through a single
+/// Plan::execute_wave (each SAT kernel pass runs once for all bins).  All
+/// leases come from `pool_partition` of the runtime's pool.
 [[nodiscard]] inline IntegralHistogram
 integral_histogram_batched(Runtime& rt, const Matrix<u8>& image, int bins,
                            int pool_partition = 0,

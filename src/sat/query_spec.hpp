@@ -22,8 +22,8 @@
 namespace satgpu::sat {
 
 /// Mean over the clamped (2r+1)^2 window centred on each pixel -> f32.
-/// radius <= 0 degenerates to the 1x1 window (a defined copy), matching
-/// box_filter_device's contract.
+/// radius <= 0 degenerates to the 1x1 window (a defined copy of the
+/// image).
 struct BoxFilterSpec {
     std::int64_t radius = 4;
     friend constexpr bool operator==(const BoxFilterSpec&,

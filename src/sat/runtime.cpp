@@ -251,16 +251,6 @@ RuntimeResult Plan::execute(const AnyMatrix& image) const
     return entry_->exec(rt_->eng_, rt_->pool_, image, opt);
 }
 
-std::vector<RuntimeResult>
-Plan::execute_batch(std::span<const AnyMatrix> images) const
-{
-    std::vector<RuntimeResult> out;
-    out.reserve(images.size());
-    for (const AnyMatrix& img : images)
-        out.push_back(execute(img));
-    return out;
-}
-
 WaveResult Plan::execute_wave(std::span<const AnyMatrix* const> images) const
 {
     SATGPU_CHECK(rt_ != nullptr && entry_ != nullptr,
@@ -268,11 +258,10 @@ WaveResult Plan::execute_wave(std::span<const AnyMatrix* const> images) const
     SATGPU_CHECK(!images.empty(), "execute_wave needs at least one image");
     for (const AnyMatrix* img : images)
         check_plan_input(req_, *img);
-    const Options opt = plan_options(req_, resolved_, backend_);
-    if (query_enabled(req_.query)) {
-        // Query pipelines are already multi-launch per image (tile SATs +
-        // consumers, or build + gather); run the wave as a per-image loop
-        // -- bit-identical outputs, no grid.z fusion.
+    if (query_enabled(req_.query) || req_.tile.enabled()) {
+        // Query and macro-tile pipelines are already multi-launch per
+        // image; run the wave as a per-image loop (bit-identical outputs,
+        // no grid.z fusion).
         WaveResult out;
         out.tables.reserve(images.size());
         for (const AnyMatrix* img : images) {
@@ -284,22 +273,7 @@ WaveResult Plan::execute_wave(std::span<const AnyMatrix* const> images) const
         }
         return out;
     }
-    if (req_.tile.enabled()) {
-        // Macro-tile execution is already a multi-launch pipeline per
-        // image; run the wave as a per-image loop (bit-identical tables,
-        // no fusion).
-        WaveResult out;
-        out.tables.reserve(images.size());
-        for (const AnyMatrix* img : images) {
-            auto r = entry_->exec_tiled(rt_->eng_, rt_->pool_, *img, opt,
-                                        req_.tile);
-            out.tables.push_back(std::move(r.table));
-            out.launches.insert(out.launches.end(),
-                                std::make_move_iterator(r.launches.begin()),
-                                std::make_move_iterator(r.launches.end()));
-        }
-        return out;
-    }
+    const Options opt = plan_options(req_, resolved_, backend_);
     return entry_->exec_wave(rt_->eng_, rt_->pool_, images, opt);
 }
 

@@ -20,9 +20,9 @@
 // algorithm (Algorithm::kAuto asks model::CostModel to predict every
 // candidate's time on the target GPU and picks the fastest, keeping the
 // scores for introspection), the launch shapes, and the device workspace
-// footprint.  execute() / execute_batch() then run the launches with every
-// device buffer leased from the runtime's BufferPool, so steady-state
-// serving performs zero device allocations (asserted by tests).
+// footprint.  execute() then runs the launches with every device buffer
+// leased from the runtime's BufferPool, so steady-state serving performs
+// zero device allocations (asserted by tests).
 #pragma once
 
 #include "model/gpu_specs.hpp"
@@ -307,18 +307,15 @@ public:
     /// Launch geometry the resolved algorithm will use at this shape.
     [[nodiscard]] std::vector<simt::LaunchConfig> launch_configs() const;
 
-    /// Run one image (dtype and shape must match the plan).
+    /// Run one image (dtype and shape must match the plan).  Pooled
+    /// buffers are recycled between calls, so a loop of execute() over a
+    /// batch allocates nothing after the first image.
     [[nodiscard]] RuntimeResult execute(const AnyMatrix& image) const;
-    /// Stream a batch of same-shaped images through the one plan; pooled
-    /// buffers are recycled between images, so after the first image the
-    /// whole batch allocates nothing.
-    [[nodiscard]] std::vector<RuntimeResult>
-    execute_batch(std::span<const AnyMatrix> images) const;
     /// Coalesce K same-shaped images into fused grid.z = K launches (one
     /// per kernel pass).  Tables are bit-identical to K execute() calls in
     /// the same order; the (modeled) per-launch overhead is paid once per
-    /// pass instead of once per image.  Tiled plans fall back to a
-    /// per-image loop (macro-tile phases are already multi-launch).  The
+    /// pass instead of once per image.  Tiled and query plans fall back to
+    /// a per-image loop of execute() (already multi-launch).  The
     /// wave holds K workspaces concurrently, so workspace_bytes() scales
     /// by K for the wave's duration.
     [[nodiscard]] WaveResult

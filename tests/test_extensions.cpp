@@ -1,10 +1,9 @@
 // Tests for the library extensions built on the same substrate: warp
 // votes, global atomics, vectorized accesses, block/device-wide scans, the
 // scratchpad-tile ablation kernel, the BRLT Haar wavelet (the paper's
-// future-work claim), integral histograms, and the device-side box filter.
+// future-work claim) and integral histograms.
 #include "baselines/smem_tile.hpp"
 #include "core/random_fill.hpp"
-#include "sat/box_filter.hpp"
 #include "sat/integral_histogram.hpp"
 #include "scan/device_scan.hpp"
 #include "simt/vote.hpp"
@@ -279,8 +278,8 @@ TEST(IntegralHistogram, RegionMatchesDirectCount)
 {
     Matrix<satgpu::u8> img(96, 128);
     satgpu::fill_random(img, 81, satgpu::u8{0}, satgpu::u8{255});
-    simt::Engine eng;
-    const auto ih = sat::integral_histogram(eng, img, 8);
+    sat::Runtime rt;
+    const auto ih = sat::integral_histogram_batched(rt, img, 8);
     ASSERT_EQ(ih.bins(), 8u);
 
     const auto region = ih.region(10, 20, 60, 100);
@@ -300,8 +299,8 @@ TEST(IntegralHistogram, DegenerateAndClampedRegions)
 {
     Matrix<satgpu::u8> img(40, 56);
     satgpu::fill_random(img, 83, satgpu::u8{0}, satgpu::u8{255});
-    simt::Engine eng;
-    const auto ih = sat::integral_histogram(eng, img, 8);
+    sat::Runtime rt;
+    const auto ih = sat::integral_histogram_batched(rt, img, 8);
     const std::vector<std::uint32_t> zeros(8, 0);
 
     // Reversed and empty rectangles are defined zero-count queries, not
@@ -324,103 +323,6 @@ TEST(IntegralHistogram, DegenerateAndClampedRegions)
     const auto one = ih.region(7, 7, 7, 7);
     EXPECT_EQ(std::accumulate(one.begin(), one.end(), 0u), 1u);
     EXPECT_EQ(one[static_cast<std::size_t>(img(7, 7) / 32)], 1u);
-}
-
-// ------------------------------------------------------- device box filter --
-
-TEST(BoxFilterDevice, MatchesHostWindowMean)
-{
-    Matrix<satgpu::u8> img(64, 96);
-    satgpu::fill_random(img, 91, satgpu::u8{0}, satgpu::u8{255});
-    simt::Engine eng;
-    const auto table =
-        sat::compute_sat<satgpu::u32>(eng, img,
-                                      {sat::Algorithm::kBrltScanRow})
-            .table;
-    const auto blurred = sat::box_filter_device(eng, table, 5);
-
-    for (std::int64_t y : {0L, 31L, 63L})
-        for (std::int64_t x : {0L, 47L, 95L}) {
-            double sum = 0;
-            std::int64_t cnt = 0;
-            for (std::int64_t dy = -5; dy <= 5; ++dy)
-                for (std::int64_t dx = -5; dx <= 5; ++dx)
-                    if (img.in_bounds(y + dy, x + dx)) {
-                        sum += img(y + dy, x + dx);
-                        ++cnt;
-                    }
-            EXPECT_NEAR(blurred(y, x), sum / static_cast<double>(cnt), 1e-4)
-                << y << "," << x;
-        }
-}
-
-TEST(BoxFilterDevice, AddCountChargesActiveLanesOnly)
-{
-    // Width 97 = 3 full warps + a 1-lane ragged warp per row.  The kernel
-    // does exactly three adds (a + d - b - c) per OUTPUT PIXEL; charging
-    // all 32 lanes of the ragged warp used to overcount by 31 * 3 per row
-    // and skew the profiler's hotspot tables.
-    Matrix<satgpu::u8> img(41, 97);
-    satgpu::fill_random(img, 17);
-    simt::Engine eng;
-    const auto table =
-        sat::compute_sat<satgpu::u32>(eng, img,
-                                      {sat::Algorithm::kBrltScanRow})
-            .table;
-    simt::LaunchStats stats;
-    (void)sat::box_filter_device(eng, table, 4, &stats);
-    EXPECT_EQ(stats.counters.lane_add, 3u * 41u * 97u);
-}
-
-TEST(BoxFilterDevice, LaunchShapeFollowsLaunchParams)
-{
-    // The block shape must come from launch_params.hpp like every other
-    // Tsat-parameterized kernel: 32 warps for 4-byte tables, 16 for
-    // 8-byte, not the 256-thread block this wrapper used to hard-code.
-    Matrix<satgpu::u8> img(8, 70);
-    satgpu::fill_random(img, 23);
-    simt::Engine eng;
-    const auto t32 =
-        sat::compute_sat<satgpu::u32>(eng, img,
-                                      {sat::Algorithm::kBrltScanRow})
-            .table;
-    simt::LaunchStats s32;
-    (void)sat::box_filter_device(eng, t32, 2, &s32);
-    EXPECT_EQ(s32.config.block.x,
-              std::int64_t{sat::warps_per_block<satgpu::u32>()} *
-                  simt::kWarpSize);
-
-    Matrix<satgpu::f64> fimg(8, 70);
-    satgpu::fill_random(fimg, 23);
-    const auto t64 =
-        sat::compute_sat<satgpu::f64>(eng, fimg,
-                                      {sat::Algorithm::kBrltScanRow})
-            .table;
-    simt::LaunchStats s64;
-    (void)sat::box_filter_device(eng, t64, 2, &s64);
-    EXPECT_EQ(s64.config.block.x,
-              std::int64_t{sat::warps_per_block<satgpu::f64>()} *
-                  simt::kWarpSize);
-}
-
-TEST(BoxFilterDevice, NonPositiveRadiusIsADefinedCopy)
-{
-    // radius <= 0 degenerates to the 1x1 window: the output is the image
-    // the table integrates, never a divide-by-zero feeding NaNs.
-    Matrix<satgpu::u8> img(13, 37);
-    satgpu::fill_random(img, 29, satgpu::u8{0}, satgpu::u8{255});
-    simt::Engine eng;
-    const auto table =
-        sat::compute_sat<satgpu::u32>(eng, img,
-                                      {sat::Algorithm::kBrltScanRow})
-            .table;
-    for (const std::int64_t r : {std::int64_t{0}, std::int64_t{-3}}) {
-        const auto out = sat::box_filter_device(eng, table, r);
-        for (std::int64_t y = 0; y < img.height(); ++y)
-            for (std::int64_t x = 0; x < img.width(); ++x)
-                ASSERT_EQ(out(y, x), static_cast<satgpu::f32>(img(y, x)))
-                    << "r=" << r << " at " << y << "," << x;
-    }
 }
 
 // ---------------------------------------------------------- segmented scan --

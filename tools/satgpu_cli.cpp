@@ -523,7 +523,10 @@ int run(const Args& args)
         images.push_back(sat::AnyMatrix::random(
             pair->in, args.height, args.width,
             args.seed + static_cast<std::uint64_t>(i)));
-    const auto results = plan.execute_batch(images);
+    std::vector<sat::RuntimeResult> results;
+    results.reserve(images.size());
+    for (const auto& image : images)
+        results.push_back(plan.execute(image));
     const auto& res = results.front();
 
     auto write_json = [](const std::string& path, auto&& writer) {

@@ -1,53 +1,45 @@
-// satgpu_fuzz: seeded randomized differential fuzzer for the SAT runtime.
+// satgpu_fuzz: seeded randomized differential fuzzer for the SAT stack.
 //
-// Each seed deterministically samples one configuration -- dtype pair,
-// algorithm (incl. kAuto), shape up to 4096 x 4096 (log-uniform, so ragged
-// small shapes dominate but the tail reaches full size), optional macro-tile
-// geometry, scheduler thread count, batch size -- executes it through
-// sat::Runtime, and demands the result be BIT-EXACT against the serial CPU
-// oracle (sat::Runtime::reference).  Inputs are integer-valued with a
-// magnitude cap shrunk by image area so float SATs stay exactly
-// representable and every scan order agrees bitwise.
+// Each seed deterministically samples one case -- dtype pair, algorithm
+// (incl. kAuto), shape up to 4096 x 4096 (log-uniform, so ragged small
+// shapes dominate but the tail reaches full size), optional macro-tile
+// geometry, scheduler thread count, batch size -- plus side knobs for a
+// service, a SAT-consumer query and a frame stream.  Every registered
+// execution path that applies runs the case, and each of its outputs must
+// be BIT-EXACT against the one serial oracle of the case's kind:
 //
-// Modes:
-//   satgpu_fuzz --seeds N     run seeds 0..N-1 (CI smoke uses N=64)
-//   satgpu_fuzz --seed S      reproduce exactly one seed, verbosely
-//   satgpu_fuzz --service ... route every case through a sat::Service
-//                             whose worker count / wave size / linger /
-//                             queue depth are sampled per seed, instead
-//                             of a direct Runtime plan
-//   satgpu_fuzz --backend-diff  additionally execute each case through a
-//                             Backend::kNative plan and demand the native
-//                             table equal the simulator's bit for bit
-//   satgpu_fuzz --query-diff  attach a sampled SAT-consumer query
-//                             (box/thresh/wsum/hist) to each case and run
-//                             it BOTH ways -- the fused tiled pipeline and
-//                             materialize-then-consume -- demanding each
-//                             output equal the serial query oracle bit for
-//                             bit
-//   satgpu_fuzz --stream-diff replay a random frame sequence (each frame a
-//                             random pixel-delta mutation of the last)
-//                             through an incremental SlidingWindowSat AND
-//                             its from-scratch recompute twin, demanding
-//                             both window aggregates equal the serial
-//                             window oracle bit for bit after EVERY push
+//   kind    oracle (once per input)  paths
+//   sat     sat_serial               runtime-sim, runtime-native, wave,
+//                                    service
+//   query   query_serial             query-fused, query-materialized
+//   stream  window_sat_serial        stream-incremental, stream-recompute
 //
-// On mismatch the tool prints the failing seed plus the full sampled
-// configuration and exits 1; re-running `satgpu_fuzz --seed S` replays that
-// single case (sampling consumes the RNG in a fixed order, so one seed
-// always maps to the same configuration on every build).
+// Inputs are integer-valued with a magnitude cap shrunk by image area so
+// float SATs stay exactly representable and every scan order agrees
+// bitwise.  Adding a path is one entry in kPaths.
+//
+//   satgpu_fuzz --seeds N   run seeds 0..N-1 through every path
+//   satgpu_fuzz --seed S    replay one seed verbosely
+//
+// On mismatch the tool prints the seed, the path, the configuration and
+// `reproduce: satgpu_fuzz --seed S`, then exits 1.  Sampling consumes each
+// RNG stream in a fixed order, so one seed always maps to the same case on
+// every build.
 #include "core/random_fill.hpp"
 #include "sat/integral_video.hpp"
 #include "sat/runtime.hpp"
 #include "sat/service.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 namespace {
@@ -156,9 +148,12 @@ sat::Runtime& runtime_for(int threads)
     return *slot;
 }
 
-/// Service-shape knobs for --service mode.  Sampled from a SEPARATE rng
-/// stream: drawing them from the base rng would shift every knob sampled
-/// after them and silently re-meaning all recorded failing seeds.
+// The service, query and stream knobs each come from their OWN rng stream
+// (the seed XOR a fixed constant): drawing them from the base rng would
+// shift every knob sampled after them and silently re-mean every recorded
+// failing seed.
+
+/// Service-shape knobs for the service path.
 struct ServiceConfig {
     int workers = 1;
     int wave = 1;
@@ -186,110 +181,7 @@ ServiceConfig sample_service(std::uint64_t seed)
     return s;
 }
 
-/// --service analog of run_one: same sampled case, same images, but
-/// submitted through a per-seed sat::Service and demanded bit-exact
-/// against the same from-scratch serial oracle.  Also pins the service's
-/// own invariants: one plan miss per seed, a hit for every later
-/// submission, everything completed.
-bool run_one_service(const FuzzConfig& c, bool verbose)
-{
-    const ServiceConfig sc = sample_service(c.seed);
-    sat::Service::Options so;
-    so.workers = sc.workers;
-    so.engine_threads = c.threads;
-    so.max_wave = sc.wave;
-    so.max_linger = std::chrono::microseconds(sc.linger_us);
-    so.max_queue = sc.queue;
-    so.policy = sat::Service::AdmissionPolicy::kBlock;
-    sat::Service svc(so);
-
-    std::vector<sat::AnyMatrix> images;
-    std::vector<std::future<sat::AnyMatrix>> futures;
-    for (int b = 0; b < c.batch; ++b) {
-        const std::uint64_t fill_seed =
-            c.seed * 1000003u + static_cast<std::uint64_t>(b);
-        images.push_back(
-            random_image(c.pair.in, c.h, c.w, fill_seed, c.fill_hi));
-        sat::Service::Request req;
-        req.image = images.back();
-        req.out = c.pair.out;
-        req.algorithm = c.algo;
-        req.tile = c.tile;
-        futures.push_back(svc.submit(std::move(req)));
-    }
-
-    sat::Runtime& oracle = runtime_for(1);
-    for (int b = 0; b < c.batch; ++b) {
-        const auto ub = static_cast<std::size_t>(b);
-        if (!(futures[ub].get() == oracle.reference(images[ub], c.pair.out))) {
-            std::cout << "FAIL seed " << c.seed << " batch image " << b
-                      << " (service workers " << sc.workers << " wave "
-                      << sc.wave << " linger " << sc.linger_us << "us queue "
-                      << sc.queue << "): " << describe(c)
-                      << "\n  reproduce: satgpu_fuzz --service --seed "
-                      << c.seed << '\n';
-            return false;
-        }
-    }
-
-    const auto stats = svc.stats();
-    const auto batch = static_cast<std::uint64_t>(c.batch);
-    if (stats.plan_misses != 1 || stats.plan_hits != batch - 1 ||
-        stats.completed != batch) {
-        std::cout << "FAIL seed " << c.seed
-                  << ": service counter invariant (misses "
-                  << stats.plan_misses << " hits " << stats.plan_hits
-                  << " completed " << stats.completed << " for batch "
-                  << c.batch << ")\n  reproduce: satgpu_fuzz --service "
-                  << "--seed " << c.seed << '\n';
-        return false;
-    }
-
-    // Metrics invariants: at quiescence (every future joined above) the
-    // registry must agree with Stats, every admitted request must have
-    // been observed end-to-end, and wave-size histogram mass must account
-    // for every submission exactly once.
-    const sat::obs::MetricsRegistry& m = svc.metrics();
-    const std::uint64_t m_submitted =
-        m.counter_total("satgpu_service_submitted_total");
-    const std::uint64_t m_completed =
-        m.counter_total("satgpu_service_completed_total");
-    const std::uint64_t m_rejected =
-        m.counter_total("satgpu_service_rejected_total");
-    const std::uint64_t m_failed =
-        m.counter_total("satgpu_service_failed_total");
-    const auto e2e = m.histogram_total("satgpu_service_e2e_us");
-    const auto qwait = m.histogram_total("satgpu_service_queue_wait_us");
-    const auto wsize = m.histogram_total("satgpu_service_wave_size");
-    const bool metrics_ok =
-        m_submitted == stats.submitted && m_completed == stats.completed &&
-        m_rejected == stats.rejected && m_failed == stats.failed &&
-        m_submitted == m_completed + m_rejected + m_failed &&
-        e2e.count == m_completed && qwait.count == m_submitted &&
-        wsize.count == stats.waves && wsize.sum == m_completed;
-    if (!metrics_ok) {
-        std::cout << "FAIL seed " << c.seed
-                  << ": metrics invariant (submitted " << m_submitted
-                  << " completed " << m_completed << " rejected "
-                  << m_rejected << " failed " << m_failed << " e2e.count "
-                  << e2e.count << " queue_wait.count " << qwait.count
-                  << " wave_size count/sum " << wsize.count << "/"
-                  << wsize.sum << " vs stats submitted " << stats.submitted
-                  << " completed " << stats.completed << " waves "
-                  << stats.waves << ")\n  reproduce: satgpu_fuzz --service "
-                  << "--seed " << c.seed << '\n';
-        return false;
-    }
-    if (verbose)
-        std::cout << "seed " << c.seed << ": " << describe(c)
-                  << " via service workers " << sc.workers << " wave "
-                  << sc.wave << " linger " << sc.linger_us << "us queue "
-                  << sc.queue << " -> " << stats.waves << " wave(s), ok\n";
-    return true;
-}
-
-/// Query spec for --query-diff, sampled from a SEPARATE rng stream for
-/// the same reason as ServiceConfig.  Histogram queries are only servable
+/// Query spec for the query paths.  Histogram queries are only servable
 /// on the 8u -> 32u pair; other pairs remap that draw to a box filter so
 /// every seed stays a valid case.
 sat::QuerySpec sample_query(std::uint64_t seed, DtypePair pair)
@@ -318,74 +210,7 @@ sat::QuerySpec sample_query(std::uint64_t seed, DtypePair pair)
     return sat::BoxFilterSpec{radius};
 }
 
-/// --query-diff analog of run_one: attach a sampled query to the case and
-/// run it through BOTH consumer paths -- the fused tiled pipeline (global
-/// SAT never materialized) and materialize-then-consume -- each demanded
-/// bit-exact against the serial query oracle.  Exactness holds for float
-/// dtypes too: integer-valued fills keep every window sum exactly
-/// representable, and both paths apply the same final per-pixel op.
-bool run_one_query_diff(const FuzzConfig& c, bool verbose)
-{
-    // Query pipelines run several kernels per macro tile; cap the sides so
-    // the CI sweep stays fast while still covering ragged multi-tile grids.
-    FuzzConfig qc = c;
-    qc.h = std::min<std::int64_t>(qc.h, 512);
-    qc.w = std::min<std::int64_t>(qc.w, 512);
-    const sat::QuerySpec query = sample_query(c.seed, c.pair);
-
-    sat::Runtime& rt = runtime_for(qc.threads);
-    const auto fused = rt.plan_query({.height = qc.h,
-                                      .width = qc.w,
-                                      .dtypes = qc.pair,
-                                      .algorithm = qc.algo,
-                                      .tile = qc.tile,
-                                      .query = query,
-                                      .query_mode = sat::QueryMode::kFused});
-    const auto mat =
-        rt.plan_query({.height = qc.h,
-                       .width = qc.w,
-                       .dtypes = qc.pair,
-                       .algorithm = qc.algo,
-                       .tile = qc.tile,
-                       .query = query,
-                       .query_mode = sat::QueryMode::kMaterialize});
-    for (int b = 0; b < qc.batch; ++b) {
-        const std::uint64_t fill_seed =
-            qc.seed * 1000003u + static_cast<std::uint64_t>(b);
-        const auto image =
-            random_image(qc.pair.in, qc.h, qc.w, fill_seed, qc.fill_hi);
-        const auto want = rt.query_reference(image, qc.pair.out, query);
-        const auto fused_res = fused.execute(image);
-        if (!(fused_res.table == want)) {
-            std::cout << "FAIL seed " << qc.seed << " batch image " << b
-                      << ": fused query vs oracle: "
-                      << sat::query_label(query) << " on " << describe(qc)
-                      << " (" << qc.h << 'x' << qc.w << " after clamp)"
-                      << "\n  reproduce: satgpu_fuzz --query-diff --seed "
-                      << qc.seed << '\n';
-            return false;
-        }
-        const auto mat_res = mat.execute(image);
-        if (!(mat_res.table == want)) {
-            std::cout << "FAIL seed " << qc.seed << " batch image " << b
-                      << ": materialized query vs oracle: "
-                      << sat::query_label(query) << " on " << describe(qc)
-                      << " (" << qc.h << 'x' << qc.w << " after clamp)"
-                      << "\n  reproduce: satgpu_fuzz --query-diff --seed "
-                      << qc.seed << '\n';
-            return false;
-        }
-    }
-    if (verbose)
-        std::cout << "seed " << qc.seed << ": " << sat::query_label(query)
-                  << " on " << describe(qc) << " -> fused and materialized "
-                  << "both bit-exact vs the query oracle\n";
-    return true;
-}
-
-/// Streaming-shape knobs for --stream-diff, sampled from a SEPARATE rng
-/// stream like ServiceConfig (appending stream knobs to the base rng would
-/// re-mean every recorded failing seed of the other modes).
+/// Streaming-shape knobs for the stream paths.
 struct StreamConfig {
     std::int64_t window = 1; ///< sliding-window length T
     int extra = 0;           ///< pushes beyond the first full window
@@ -402,185 +227,382 @@ StreamConfig sample_stream(std::uint64_t seed)
     return s;
 }
 
-/// --stream-diff analog of run_one: replay a sampled frame sequence (frame
-/// t is frame t-1 with `deltas` random pixel changes, the temporal
-/// coherence the incremental path exists for) through an incremental
-/// SlidingWindowSat and its from-scratch recompute twin, demanding both
-/// aggregates equal the serial window oracle bit for bit after every push
-/// -- including the warm-up pushes before the first wraparound and every
-/// ring slot reuse after it.
-bool run_one_stream_diff(const FuzzConfig& c, bool verbose)
+/// Which oracle a case's outputs are diffed against, named by kOracle.
+enum class Kind { kSat, kQuery, kStream };
+constexpr const char* kOracle[] = {"sat_serial", "query_serial",
+                                   "window_sat_serial"};
+
+/// One seed's inputs for one case kind, after the kind's clamps, with the
+/// oracle output for every input computed once and shared by every path.
+struct Case {
+    Kind kind = Kind::kSat;
+    FuzzConfig c{};
+    ServiceConfig service{}; ///< kSat: the service path's knobs
+    sat::QuerySpec query{};  ///< kQuery: the consumer spec
+    StreamConfig stream{};   ///< kStream: the window shape
+    std::vector<sat::AnyMatrix> inputs{}; ///< batch images, or stream frames
+    std::vector<sat::AnyMatrix> want{};   ///< oracle per image / per push
+};
+
+std::string describe(const Case& k)
 {
-    // The recompute twin and the serial oracle both rebuild T SATs per
+    std::ostringstream os;
+    switch (k.kind) {
+    case Kind::kSat:
+        os << describe(k.c) << " service workers " << k.service.workers
+           << " wave " << k.service.wave << " linger " << k.service.linger_us
+           << "us queue " << k.service.queue;
+        break;
+    case Kind::kQuery:
+        os << sat::query_label(k.query) << " on " << describe(k.c);
+        break;
+    case Kind::kStream:
+        os << describe(k.c) << " window " << k.stream.window << " extra "
+           << k.stream.extra << " deltas " << k.stream.deltas;
+        break;
+    }
+    return os.str();
+}
+
+/// The case's batch images: a distinct deterministic fill per index.
+std::vector<sat::AnyMatrix> batch_images(const FuzzConfig& c)
+{
+    std::vector<sat::AnyMatrix> images;
+    for (int b = 0; b < c.batch; ++b)
+        images.push_back(random_image(
+            c.pair.in, c.h, c.w,
+            c.seed * 1000003u + static_cast<std::uint64_t>(b), c.fill_hi));
+    return images;
+}
+
+Case sat_case(FuzzConfig c)
+{
+    Case k{.c = c, .service = sample_service(c.seed)};
+    k.inputs = batch_images(c);
+    for (const auto& image : k.inputs)
+        k.want.push_back(runtime_for(1).reference(image, c.pair.out));
+    return k;
+}
+
+Case query_case(FuzzConfig c)
+{
+    // Query pipelines run several kernels per macro tile; cap the sides so
+    // the sweep stays fast while still covering ragged multi-tile grids.
+    c.h = std::min<std::int64_t>(c.h, 512);
+    c.w = std::min<std::int64_t>(c.w, 512);
+    Case k{.kind = Kind::kQuery, .c = c, .query = sample_query(c.seed, c.pair)};
+    k.inputs = batch_images(c);
+    for (const auto& image : k.inputs)
+        k.want.push_back(
+            runtime_for(1).query_reference(image, c.pair.out, k.query));
+    return k;
+}
+
+/// A frame sequence -- frame t is frame t-1 with `deltas` random pixel
+/// changes, the temporal coherence the incremental path exists for -- and
+/// the serial window oracle after every push, including the warm-up
+/// pushes before the first wraparound and every ring slot reuse after it.
+Case stream_case(FuzzConfig c)
+{
+    // The recompute path and the serial oracle both rebuild T SATs per
     // push; cap the sides so the sweep stays fast.  The fill cap was
     // computed for the UNCLAMPED area, so window sums stay exactly
     // representable: T * 256^2 * 15 < 2^24.
-    FuzzConfig sc = c;
-    sc.h = std::min<std::int64_t>(sc.h, 256);
-    sc.w = std::min<std::int64_t>(sc.w, 256);
+    c.h = std::min<std::int64_t>(c.h, 256);
+    c.w = std::min<std::int64_t>(c.w, 256);
     // The streaming kernel layer takes a concrete algorithm (kAuto is a
     // Runtime-level policy); remap the kAuto draw like histogram queries
     // remap non-8u pairs.
-    if (sc.algo == sat::Algorithm::kAuto)
-        sc.algo = sat::Algorithm::kBrltScanRow;
-    const StreamConfig st = sample_stream(c.seed);
-    std::mt19937_64 delta_rng(c.seed ^ 0xde17a5eedf00d1ull);
+    if (c.algo == sat::Algorithm::kAuto)
+        c.algo = sat::Algorithm::kBrltScanRow;
+    Case k{.kind = Kind::kStream, .c = c, .stream = sample_stream(c.seed)};
+    visit_paper_pair(c.pair, [&](auto ti, auto to) {
+        using Tin = typename decltype(ti)::type;
+        using Tout = typename decltype(to)::type;
+        std::mt19937_64 delta_rng(c.seed ^ 0xde17a5eedf00d1ull);
+        std::vector<Matrix<Tin>> frames;
+        Matrix<Tin> frame(c.h, c.w);
+        fill_random_ints(frame, c.seed * 1000003u, c.fill_hi);
+        const std::int64_t pushes = k.stream.window + k.stream.extra;
+        for (std::int64_t t = 0; t < pushes; ++t) {
+            if (t > 0)
+                for (int d = 0; d < k.stream.deltas; ++d) {
+                    const auto y = std::uniform_int_distribution<
+                        std::int64_t>(0, c.h - 1)(delta_rng);
+                    const auto x = std::uniform_int_distribution<
+                        std::int64_t>(0, c.w - 1)(delta_rng);
+                    frame(y, x) = static_cast<Tin>(
+                        std::uniform_int_distribution<int>(
+                            0, c.fill_hi)(delta_rng));
+                }
+            frames.push_back(frame);
+            std::vector<const Matrix<Tin>*> in_window;
+            for (std::int64_t u =
+                     std::max<std::int64_t>(0, t - k.stream.window + 1);
+                 u <= t; ++u)
+                in_window.push_back(&frames[static_cast<std::size_t>(u)]);
+            k.want.emplace_back(sat::window_sat_serial<Tout, Tin>(
+                std::span<const Matrix<Tin>* const>(in_window)));
+        }
+        for (auto& f : frames)
+            k.inputs.emplace_back(std::move(f));
+    });
+    return k;
+}
 
-    return visit_paper_pair(sc.pair, [&](auto ti, auto to) {
+// ------------------------------------------------------------ the paths ----
+
+using Outputs = std::vector<sat::AnyMatrix>;
+
+sat::PlanRequest plan_request(const FuzzConfig& c)
+{
+    return {.height = c.h,
+            .width = c.w,
+            .dtypes = c.pair,
+            .algorithm = c.algo,
+            .tile = c.tile};
+}
+
+Outputs execute_each(const sat::Plan& plan, const Case& k)
+{
+    Outputs out;
+    for (const auto& image : k.inputs)
+        out.push_back(plan.execute(image).table);
+    return out;
+}
+
+/// One Runtime plan per case, executed image by image.  A kNative request
+/// the native backend refuses (uncertified or unsupported algorithm)
+/// resolves back to the simulator, which still exercises the refusal path.
+template <sat::Backend B>
+Outputs run_runtime(const Case& k)
+{
+    sat::PlanRequest req = plan_request(k.c);
+    req.backend = B;
+    return execute_each(runtime_for(k.c.threads).plan(req), k);
+}
+
+/// The whole batch as one Plan::execute_wave (fused grid.z = K launches
+/// when untiled).
+Outputs run_wave(const Case& k)
+{
+    const auto plan = runtime_for(k.c.threads).plan(plan_request(k.c));
+    std::vector<const sat::AnyMatrix*> images;
+    for (const auto& image : k.inputs)
+        images.push_back(&image);
+    return plan.execute_wave(images).tables;
+}
+
+/// The batch submitted through a per-seed sat::Service with the sampled
+/// worker count / wave size / linger / queue depth.  Post-checks the
+/// service's own invariants: one plan miss per seed, a hit for every later
+/// submission, everything completed, and a metrics registry that agrees
+/// with Stats at quiescence.
+Outputs run_service(const Case& k)
+{
+    const ServiceConfig& sc = k.service;
+    sat::Service svc(sat::Service::Options{
+        .workers = sc.workers,
+        .engine_threads = k.c.threads,
+        .max_wave = sc.wave,
+        .max_linger = std::chrono::microseconds(sc.linger_us),
+        .max_queue = sc.queue,
+        .policy = sat::Service::AdmissionPolicy::kBlock});
+    std::vector<std::future<sat::AnyMatrix>> futures;
+    for (const auto& image : k.inputs)
+        futures.push_back(svc.submit({.image = image,
+                                      .out = k.c.pair.out,
+                                      .algorithm = k.c.algo,
+                                      .tile = k.c.tile}));
+    Outputs out;
+    for (auto& f : futures)
+        out.push_back(f.get());
+
+    const auto stats = svc.stats();
+    const auto batch = static_cast<std::uint64_t>(k.c.batch);
+    if (stats.plan_misses != 1 || stats.plan_hits != batch - 1 ||
+        stats.completed != batch) {
+        std::ostringstream os;
+        os << "service counter invariant (misses " << stats.plan_misses
+           << " hits " << stats.plan_hits << " completed " << stats.completed
+           << " for batch " << batch << ")";
+        throw std::runtime_error(os.str());
+    }
+
+    // Every future is joined, so the registry must agree with Stats, every
+    // admitted request must have been observed end-to-end, and wave-size
+    // histogram mass must account for every submission exactly once.
+    const sat::obs::MetricsRegistry& m = svc.metrics();
+    const std::uint64_t m_submitted =
+        m.counter_total("satgpu_service_submitted_total");
+    const std::uint64_t m_completed =
+        m.counter_total("satgpu_service_completed_total");
+    const std::uint64_t m_rejected =
+        m.counter_total("satgpu_service_rejected_total");
+    const std::uint64_t m_failed =
+        m.counter_total("satgpu_service_failed_total");
+    const auto e2e = m.histogram_total("satgpu_service_e2e_us");
+    const auto qwait = m.histogram_total("satgpu_service_queue_wait_us");
+    const auto wsize = m.histogram_total("satgpu_service_wave_size");
+    if (m_submitted != stats.submitted || m_completed != stats.completed ||
+        m_rejected != stats.rejected || m_failed != stats.failed ||
+        m_submitted != m_completed + m_rejected + m_failed ||
+        e2e.count != m_completed || qwait.count != m_submitted ||
+        wsize.count != stats.waves || wsize.sum != m_completed) {
+        std::ostringstream os;
+        os << "metrics invariant (submitted " << m_submitted << " completed "
+           << m_completed << " rejected " << m_rejected << " failed "
+           << m_failed << " e2e.count " << e2e.count << " queue_wait.count "
+           << qwait.count << " wave_size count/sum " << wsize.count << "/"
+           << wsize.sum << " vs stats submitted " << stats.submitted
+           << " completed " << stats.completed << " waves " << stats.waves
+           << ")";
+        throw std::runtime_error(os.str());
+    }
+    return out;
+}
+
+/// The case's query through one consumer path: the fused tiled pipeline
+/// (global SAT never materialized) or materialize-then-consume.  Exactness
+/// holds for float dtypes too: integer-valued fills keep every window sum
+/// exactly representable, and both paths apply the same per-pixel op.
+template <sat::QueryMode M>
+Outputs run_query(const Case& k)
+{
+    sat::PlanRequest req = plan_request(k.c);
+    req.query = k.query;
+    req.query_mode = M;
+    return execute_each(runtime_for(k.c.threads).plan_query(req), k);
+}
+
+/// The frame sequence through a SlidingWindowSat; one window aggregate per
+/// push.
+template <sat::StreamUpdateMode M>
+Outputs run_stream(const Case& k)
+{
+    return visit_paper_pair(k.c.pair, [&](auto ti, auto to) {
         using Tin = typename decltype(ti)::type;
         using Tout = typename decltype(to)::type;
         simt::Engine::Options eo{.record_history = false};
-        eo.num_threads = sc.threads;
+        eo.num_threads = k.c.threads;
         simt::Engine eng(eo);
-        const sat::Options opt{.algorithm = sc.algo};
-        sat::SlidingWindowSat<Tout, Tin> inc(
-            eng, st.window, sc.h, sc.w, opt, sc.tile,
-            sat::StreamUpdateMode::kIncremental);
-        sat::SlidingWindowSat<Tout, Tin> rec(
-            eng, st.window, sc.h, sc.w, opt, sc.tile,
-            sat::StreamUpdateMode::kRecompute);
-
-        std::vector<Matrix<Tin>> frames;
-        Matrix<Tin> frame(sc.h, sc.w);
-        fill_random_ints(frame, sc.seed * 1000003u, sc.fill_hi);
-        const std::int64_t pushes = st.window + st.extra;
-        for (std::int64_t t = 0; t < pushes; ++t) {
-            if (t > 0)
-                for (int d = 0; d < st.deltas; ++d) {
-                    const auto y = std::uniform_int_distribution<
-                        std::int64_t>(0, sc.h - 1)(delta_rng);
-                    const auto x = std::uniform_int_distribution<
-                        std::int64_t>(0, sc.w - 1)(delta_rng);
-                    frame(y, x) = static_cast<Tin>(
-                        std::uniform_int_distribution<int>(
-                            0, sc.fill_hi)(delta_rng));
-                }
-            frames.push_back(frame);
-            inc.push(frame);
-            rec.push(frame);
-
-            std::vector<const Matrix<Tin>*> in_window;
-            for (std::int64_t u =
-                     std::max<std::int64_t>(0, t - st.window + 1);
-                 u <= t; ++u)
-                in_window.push_back(&frames[static_cast<std::size_t>(u)]);
-            const Matrix<Tout> want = sat::window_sat_serial<Tout, Tin>(
-                std::span<const Matrix<Tin>* const>(in_window));
-            const auto fail = [&](const char* which) {
-                std::cout << "FAIL seed " << sc.seed << " push " << t
-                          << ": " << which
-                          << " window differs from serial oracle: "
-                          << describe(sc) << " (" << sc.h << 'x' << sc.w
-                          << " after clamp) window " << st.window
-                          << " extra " << st.extra << " deltas "
-                          << st.deltas
-                          << "\n  reproduce: satgpu_fuzz --stream-diff "
-                          << "--seed " << sc.seed << '\n';
-                return false;
-            };
-            if (!(inc.window_table() == want))
-                return fail("incremental");
-            if (!(rec.window_table() == want))
-                return fail("recompute");
+        sat::SlidingWindowSat<Tout, Tin> window(
+            eng, k.stream.window, k.c.h, k.c.w,
+            {.algorithm = k.c.algo}, k.c.tile, M);
+        Outputs out;
+        for (const auto& frame : k.inputs) {
+            window.push(frame.as<Tin>());
+            out.emplace_back(window.window_table());
         }
-        if (verbose)
-            std::cout << "seed " << sc.seed << ": " << describe(sc)
-                      << " window " << st.window << " extra " << st.extra
-                      << " deltas " << st.deltas << " -> " << pushes
-                      << " push(es), incremental and recompute bit-exact\n";
-        return true;
+        return out;
     });
 }
 
-/// --backend-diff analog of run_one: plan the same sampled case twice --
-/// once pinned to the simulator, once requesting the native backend --
-/// and demand the two tables agree bit for bit (the simulator table is
-/// additionally checked against the serial oracle, so agreement can never
-/// hide a shared bug).  Configs the native backend refuses (uncertified
-/// or unsupported algorithms) resolve back to the simulator; the diff is
-/// then trivially exact, but the refusal path itself gets exercised.
-bool run_one_backend_diff(const FuzzConfig& c, bool verbose)
+/// One registered execution path: which cases it runs, and how.  run()
+/// returns one output per input (batch image or stream push) and throws
+/// std::runtime_error when a path-specific invariant breaks.
+struct Path {
+    const char* name;
+    bool (*applies)(const Case&);
+    Outputs (*run)(const Case&);
+};
+
+template <Kind K>
+bool of_kind(const Case& k)
 {
-    sat::Runtime& rt = runtime_for(c.threads);
-    const auto sim_plan = rt.plan({.height = c.h,
-                                   .width = c.w,
-                                   .dtypes = c.pair,
-                                   .algorithm = c.algo,
-                                   .tile = c.tile,
-                                   .backend = sat::Backend::kSim});
-    const auto nat_plan = rt.plan({.height = c.h,
-                                   .width = c.w,
-                                   .dtypes = c.pair,
-                                   .algorithm = c.algo,
-                                   .tile = c.tile,
-                                   .backend = sat::Backend::kNative});
-    for (int b = 0; b < c.batch; ++b) {
-        const std::uint64_t fill_seed =
-            c.seed * 1000003u + static_cast<std::uint64_t>(b);
-        const auto image =
-            random_image(c.pair.in, c.h, c.w, fill_seed, c.fill_hi);
-        const auto sim_res = sim_plan.execute(image);
-        const auto nat_res = nat_plan.execute(image);
-        if (!(sim_res.table == rt.reference(image, c.pair.out))) {
-            std::cout << "FAIL seed " << c.seed << " batch image " << b
-                      << ": simulator vs oracle: " << describe(c)
-                      << "\n  reproduce: satgpu_fuzz --backend-diff --seed "
-                      << c.seed << '\n';
-            return false;
-        }
-        if (!(nat_res.table == sim_res.table)) {
-            std::cout << "FAIL seed " << c.seed << " batch image " << b
-                      << ": " << sat::to_string(nat_plan.backend())
-                      << " backend differs from simulator: " << describe(c)
-                      << "\n  resolved algorithms: sim "
-                      << sat::to_string(sim_plan.algorithm()) << ", native "
-                      << sat::to_string(nat_plan.algorithm())
-                      << "\n  reproduce: satgpu_fuzz --backend-diff --seed "
-                      << c.seed << '\n';
-            return false;
+    return k.kind == K;
+}
+
+const Path kPaths[] = {
+    {"runtime-sim", of_kind<Kind::kSat>, run_runtime<sat::Backend::kSim>},
+    {"runtime-native", of_kind<Kind::kSat>,
+     run_runtime<sat::Backend::kNative>},
+    {"wave", of_kind<Kind::kSat>, run_wave},
+    {"service", of_kind<Kind::kSat>, run_service},
+    {"query-fused", of_kind<Kind::kQuery>, run_query<sat::QueryMode::kFused>},
+    {"query-materialized", of_kind<Kind::kQuery>,
+     run_query<sat::QueryMode::kMaterialize>},
+    {"stream-incremental", of_kind<Kind::kStream>,
+     run_stream<sat::StreamUpdateMode::kIncremental>},
+    {"stream-recompute", of_kind<Kind::kStream>,
+     run_stream<sat::StreamUpdateMode::kRecompute>},
+};
+
+/// Empty when `got` matches the case's oracle output for output.
+std::string first_mismatch(const Case& k, const Outputs& got)
+{
+    if (got.size() != k.want.size())
+        return std::to_string(got.size()) + " output(s) for " +
+               std::to_string(k.want.size()) + " input(s)";
+    for (std::size_t i = 0; i < got.size(); ++i)
+        if (!(got[i] == k.want[i]))
+            return (k.kind == Kind::kStream ? "push " : "image ") +
+                   std::to_string(i) + " differs from " +
+                   kOracle[static_cast<int>(k.kind)];
+    return {};
+}
+
+/// Run every applicable path on seed `seed`, one case kind at a time (so
+/// only one kind's inputs and oracle outputs are alive).  Prints the
+/// failure and returns false on the first mismatch; `runs[p]` counts the
+/// cases path p ran.
+bool run_seed(std::uint64_t seed, bool verbose,
+              std::vector<std::uint64_t>& runs)
+{
+    const FuzzConfig c = sample(seed);
+    for (const auto build : {sat_case, query_case, stream_case}) {
+        const Case k = build(c);
+        if (verbose)
+            std::cout << "seed " << seed << ": " << describe(k) << '\n';
+        for (std::size_t p = 0; p < std::size(kPaths); ++p) {
+            const Path& path = kPaths[p];
+            if (!path.applies(k))
+                continue;
+            ++runs[p];
+            std::string why;
+            try {
+                why = first_mismatch(k, path.run(k));
+            } catch (const std::exception& e) {
+                why = e.what();
+            }
+            if (!why.empty()) {
+                std::cout << "FAIL seed " << seed << " path " << path.name
+                          << ": " << why << "\n  config: " << describe(k)
+                          << "\n  reproduce: satgpu_fuzz --seed " << seed
+                          << '\n';
+                return false;
+            }
+            if (verbose)
+                std::cout << "  " << path.name << ": bit-exact vs "
+                          << kOracle[static_cast<int>(k.kind)] << '\n';
         }
     }
-    if (verbose)
-        std::cout << "seed " << c.seed << ": " << describe(c) << " -> sim "
-                  << sat::to_string(sim_plan.algorithm()) << " vs "
-                  << sat::to_string(nat_plan.backend()) << " "
-                  << sat::to_string(nat_plan.algorithm())
-                  << (nat_plan.certified() ? " (certified)" : "")
-                  << ", bit-exact\n";
     return true;
 }
 
-/// Run one sampled case; returns true when every batch image matches the
-/// serial oracle bit for bit.
-bool run_one(const FuzzConfig& c, bool verbose)
+/// A whole non-negative decimal; nullopt on garbage, a sign or overflow.
+std::optional<std::uint64_t> parse_u64(std::string_view s)
 {
-    sat::Runtime& rt = runtime_for(c.threads);
-    const auto plan = rt.plan({.height = c.h,
-                               .width = c.w,
-                               .dtypes = c.pair,
-                               .algorithm = c.algo,
-                               .tile = c.tile});
-    for (int b = 0; b < c.batch; ++b) {
-        // Distinct deterministic fill per batch index.
-        const std::uint64_t fill_seed =
-            c.seed * 1000003u + static_cast<std::uint64_t>(b);
-        const auto image =
-            random_image(c.pair.in, c.h, c.w, fill_seed, c.fill_hi);
-        const auto res = plan.execute(image);
-        if (!(res.table == rt.reference(image, c.pair.out))) {
-            std::cout << "FAIL seed " << c.seed << " batch image " << b
-                      << ": " << describe(c) << "\n  resolved algorithm: "
-                      << sat::to_string(plan.algorithm())
-                      << "\n  reproduce: satgpu_fuzz --seed " << c.seed
-                      << '\n';
-            return false;
-        }
-    }
-    if (verbose)
-        std::cout << "seed " << c.seed << ": " << describe(c)
-                  << " -> resolved " << sat::to_string(plan.algorithm())
-                  << ", ok\n";
-    return true;
+    std::uint64_t v = 0;
+    const char* const end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc{} || ptr != end)
+        return std::nullopt;
+    return v;
+}
+
+void print_usage()
+{
+    std::cout << "usage: satgpu_fuzz [--seeds N] [--seed S]\n"
+                 "  --seeds N: run seeds 0..N-1 (N > 0, default 32) through "
+                 "every\n"
+                 "             registered path; exit 1 on the first mismatch\n"
+                 "  --seed S:  replay one seed verbosely (the reproduce\n"
+                 "             command printed on failure)\n"
+                 "paths:";
+    for (const Path& p : kPaths)
+        std::cout << ' ' << p.name;
+    std::cout << '\n';
 }
 
 } // namespace
@@ -588,85 +610,43 @@ bool run_one(const FuzzConfig& c, bool verbose)
 int main(int argc, char** argv)
 {
     std::uint64_t seeds = 32;
-    std::int64_t single = -1;
-    bool service = false;
-    bool backend_diff = false;
-    bool query_diff = false;
-    bool stream_diff = false;
+    std::optional<std::uint64_t> single;
     for (int i = 1; i < argc; ++i) {
         const std::string_view arg = argv[i];
-        if (arg == "--seeds" && i + 1 < argc) {
-            seeds = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--seed" && i + 1 < argc) {
-            single = std::strtoll(argv[++i], nullptr, 10);
-        } else if (arg == "--service") {
-            service = true;
-        } else if (arg == "--backend-diff") {
-            backend_diff = true;
-        } else if (arg == "--query-diff") {
-            query_diff = true;
-        } else if (arg == "--stream-diff") {
-            stream_diff = true;
+        if ((arg == "--seeds" || arg == "--seed") && i + 1 < argc) {
+            const auto v = parse_u64(argv[++i]);
+            if (!v || (arg == "--seeds" && *v == 0)) {
+                std::cerr << "satgpu_fuzz: " << arg << " expects a "
+                          << (arg == "--seeds" ? "positive" : "non-negative")
+                          << " integer, got \"" << argv[i] << "\"\n";
+                return 2;
+            }
+            if (arg == "--seeds")
+                seeds = *v;
+            else
+                single = *v;
         } else {
-            std::cout
-                << "usage: satgpu_fuzz [--service | --backend-diff |\n"
-                   "                    --query-diff | --stream-diff]\n"
-                   "                   [--seeds N] [--seed S]\n"
-                   "  --seeds N: run seeds 0..N-1 (default 32); exit 1 on\n"
-                   "             the first differential mismatch\n"
-                   "  --seed S:  replay one seed verbosely (the reproduce\n"
-                   "             command printed on failure)\n"
-                   "  --service: route each case through a sat::Service\n"
-                   "             with per-seed worker/wave/linger/queue\n"
-                   "             knobs instead of a direct Runtime plan\n"
-                   "  --backend-diff: run each case on the simulator AND\n"
-                   "             via a Backend::kNative plan; demand the\n"
-                   "             tables be bit-identical (and the sim\n"
-                   "             table right vs the serial oracle)\n"
-                   "  --query-diff: attach a sampled SAT-consumer query to\n"
-                   "             each case and run it both fused and\n"
-                   "             materialized; demand each output equal\n"
-                   "             the serial query oracle bit for bit\n"
-                   "  --stream-diff: replay a random frame-delta sequence\n"
-                   "             through an incremental sliding-window SAT\n"
-                   "             and its from-scratch recompute twin;\n"
-                   "             demand both equal the serial window\n"
-                   "             oracle bit for bit after every push\n";
+            print_usage();
             return arg == "--help" || arg == "-h" ? 0 : 2;
         }
     }
-    if (static_cast<int>(service) + static_cast<int>(backend_diff) +
-            static_cast<int>(query_diff) + static_cast<int>(stream_diff) >
-        1) {
-        std::cerr << "--service, --backend-diff, --query-diff and "
-                     "--stream-diff are mutually exclusive\n";
-        return 2;
-    }
-    const auto run = [&](const FuzzConfig& c, bool verbose) {
-        if (backend_diff)
-            return run_one_backend_diff(c, verbose);
-        if (query_diff)
-            return run_one_query_diff(c, verbose);
-        if (stream_diff)
-            return run_one_stream_diff(c, verbose);
-        return service ? run_one_service(c, verbose) : run_one(c, verbose);
-    };
 
-    if (single >= 0)
-        return run(sample(static_cast<std::uint64_t>(single)), true) ? 0 : 1;
+    std::vector<std::uint64_t> runs(std::size(kPaths), 0);
+    if (single)
+        return run_seed(*single, /*verbose=*/true, runs) ? 0 : 1;
 
     for (std::uint64_t s = 0; s < seeds; ++s)
-        if (!run(sample(s), /*verbose=*/false))
+        if (!run_seed(s, /*verbose=*/false, runs))
             return 1;
-    std::cout << "fuzz: " << seeds << " seed(s) bit-exact against the "
-              << (backend_diff
-                      ? "serial oracle (native vs simulator diff)\n"
-                  : query_diff
-                      ? "serial oracle (fused vs materialized query diff)\n"
-                  : stream_diff
-                      ? "serial oracle (incremental vs recompute stream "
-                        "diff)\n"
-                      : (service ? "serial oracle (service mode)\n"
-                                 : "serial oracle\n"));
-    return 0;
+    std::cout << "fuzz: " << seeds
+              << " seed(s) bit-exact against the serial oracles; cases per "
+                 "path:";
+    for (std::size_t p = 0; p < std::size(kPaths); ++p)
+        std::cout << ' ' << kPaths[p].name << ' ' << runs[p];
+    std::cout << '\n';
+    // A registered path that no seed applied to is dead in the sweep.
+    if (std::ranges::count(runs, 0u) == 0)
+        return 0;
+    std::cout << "FAIL: a registered path ran on none of the seeds\n";
+    return 1;
 }
