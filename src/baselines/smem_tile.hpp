@@ -120,7 +120,7 @@ compute_sat_smem_tile(simt::Engine& eng, const Matrix<Tin>& image)
     sat::SatResult<Tout> res;
     res.launches.push_back(launch_smem_tile_pass<Tout>(eng, in, h, w, mid));
     res.launches.push_back(launch_smem_tile_pass<Tout>(eng, mid, w, h, out));
-    res.table = out.to_matrix(h, w);
+    res.table = std::move(out).release_matrix(h, w);
     return res;
 }
 

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace satgpu {
@@ -27,6 +28,14 @@ public:
         : height_(height), width_(width),
           data_(checked_size(height, width), fill)
     {
+    }
+
+    /// Adopt `data` (row-major, exactly height * width elements) as the
+    /// matrix storage without copying it.
+    Matrix(std::int64_t height, std::int64_t width, std::vector<T>&& data)
+        : height_(height), width_(width), data_(std::move(data))
+    {
+        SATGPU_EXPECTS(data_.size() == checked_size(height, width));
     }
 
     [[nodiscard]] std::int64_t height() const noexcept { return height_; }
@@ -72,6 +81,15 @@ public:
 
     [[nodiscard]] std::span<T> flat() noexcept { return data_; }
     [[nodiscard]] std::span<const T> flat() const noexcept { return data_; }
+
+    /// Give up the storage (row-major, size() elements) without copying
+    /// it; the matrix is left empty (0 x 0).
+    [[nodiscard]] std::vector<T> release() &&
+    {
+        height_ = 0;
+        width_ = 0;
+        return std::move(data_);
+    }
 
     [[nodiscard]] bool in_bounds(std::int64_t y, std::int64_t x) const noexcept
     {

@@ -275,20 +275,19 @@ compute_integral_video(simt::Engine& eng,
     IntegralVideo<Tout> iv;
     iv.tables.reserve(frames.size());
     auto acc = simt::acquire_or_new<Tout>(opt.pool, n, opt.pool_partition);
-    auto cur = simt::acquire_or_new<Tout>(opt.pool, n, opt.pool_partition);
     for (const Matrix<Tin>* f : frames) {
         auto sat = tile.enabled()
                        ? compute_sat_tiled<Tout, Tin>(eng, *f, tile, opt)
                        : compute_sat<Tout, Tin>(eng, *f, opt);
-        std::copy(sat.table.flat().begin(), sat.table.flat().end(),
-                  cur->host().begin());
+        const auto cur =
+            simt::DeviceBuffer<Tout>::adopt(std::move(sat.table));
         iv.launches.insert(iv.launches.end(),
                            std::make_move_iterator(sat.launches.begin()),
                            std::make_move_iterator(sat.launches.end()));
         // acc starts zeroed (pool contract), so IV[0] = 0 + SAT[0] runs
         // the same pass every later frame does.
         iv.launches.push_back(
-            launch_temporal_add<Tout>(eng, *cur, n, *acc, native));
+            launch_temporal_add<Tout>(eng, cur, n, *acc, native));
         iv.tables.push_back(acc->to_matrix(h, w));
     }
     return iv;
@@ -344,9 +343,11 @@ window_sat_serial(std::span<const Matrix<Tin>* const> frames)
 /// traffic; window_table() reads the current aggregate, whose rect_sum
 /// answers windowed box queries in four lookups.
 ///
-/// kIncremental keeps the last T per-frame SATs resident in a host ring
-/// (T * H * W * sizeof(Tout) bytes -- the documented memory bound) and
-/// pays one SAT build plus one fused add/subtract pass per push.
+/// kIncremental keeps the last T per-frame SATs resident in a ring of
+/// device buffers (T * H * W * sizeof(Tout) bytes -- the documented memory
+/// bound; each is the adopted result of its frame's build, never copied)
+/// and pays one SAT build plus one fused add/subtract pass per push, which
+/// reads the new and the leaving SAT in place.
 /// kRecompute keeps raw frames and rebuilds the aggregate from scratch
 /// (T SAT builds + T add passes) -- the from-scratch twin every
 /// incremental result is fuzz-diffed against.  Both are bit-identical to
@@ -362,10 +363,6 @@ public:
           mode_(resolve_stream_mode(mode, make_pair_of<Tin, Tout>(), h, w,
                                     window)),
           win_(simt::acquire_or_new<Tout>(opt.pool, h * w,
-                                          opt.pool_partition)),
-          cur_(simt::acquire_or_new<Tout>(opt.pool, h * w,
-                                          opt.pool_partition)),
-          old_(simt::acquire_or_new<Tout>(opt.pool, h * w,
                                           opt.pool_partition))
     {
         SATGPU_EXPECTS(window > 0 && h > 0 && w > 0);
@@ -382,7 +379,7 @@ public:
     {
         return pushed_;
     }
-    /// Host bytes the ring holds resident (the streaming memory bound).
+    /// Bytes the ring holds resident (the streaming memory bound).
     [[nodiscard]] std::uint64_t ring_bytes() const noexcept
     {
         const auto per = static_cast<std::uint64_t>(h_ * w_) *
@@ -403,25 +400,16 @@ public:
         const auto slot =
             static_cast<std::size_t>(pushed_ % window_);
         if (mode_ == StreamUpdateMode::kIncremental) {
-            auto sat = build_sat(frame);
-            last_.insert(last_.end(),
-                         std::make_move_iterator(sat.launches.begin()),
-                         std::make_move_iterator(sat.launches.end()));
-            std::copy(sat.table.flat().begin(), sat.table.flat().end(),
-                      cur_->host().begin());
-            if (pushed_ >= window_) {
-                const auto& leaving = sat_ring_[slot];
-                std::copy(leaving.flat().begin(), leaving.flat().end(),
-                          old_->host().begin());
+            simt::DeviceBuffer<Tout> cur = build_sat(frame);
+            if (pushed_ >= window_)
                 last_.push_back(launch_window_update<Tout>(
-                    *eng_, *cur_, *old_, n, *win_, native));
-            } else {
-                last_.push_back(launch_temporal_add<Tout>(*eng_, *cur_, n,
+                    *eng_, cur, sat_ring_[slot], n, *win_, native));
+            else
+                last_.push_back(launch_temporal_add<Tout>(*eng_, cur, n,
                                                           *win_, native));
-            }
             if (sat_ring_.size() <= slot)
                 sat_ring_.resize(slot + 1);
-            sat_ring_[slot] = std::move(sat.table);
+            sat_ring_[slot] = std::move(cur);
         } else {
             if (frame_ring_.size() <= slot)
                 frame_ring_.resize(slot + 1);
@@ -431,13 +419,8 @@ public:
             win_ = simt::acquire_or_new<Tout>(opt_.pool, n,
                                               opt_.pool_partition);
             for (const auto& f : frame_ring_) {
-                auto sat = build_sat(f);
-                last_.insert(last_.end(),
-                             std::make_move_iterator(sat.launches.begin()),
-                             std::make_move_iterator(sat.launches.end()));
-                std::copy(sat.table.flat().begin(), sat.table.flat().end(),
-                          cur_->host().begin());
-                last_.push_back(launch_temporal_add<Tout>(*eng_, *cur_, n,
+                const simt::DeviceBuffer<Tout> cur = build_sat(f);
+                last_.push_back(launch_temporal_add<Tout>(*eng_, cur, n,
                                                           *win_, native));
             }
         }
@@ -458,13 +441,17 @@ public:
     }
 
 private:
-    [[nodiscard]] SatResult<Tout> build_sat(const Matrix<Tin>& f)
+    /// Build one frame's SAT, append its launches to this push's, and
+    /// adopt the table as a device buffer (no copy).
+    [[nodiscard]] simt::DeviceBuffer<Tout> build_sat(const Matrix<Tin>& f)
     {
         SatResult<Tout> res =
             tile_.enabled()
                 ? compute_sat_tiled<Tout, Tin>(*eng_, f, tile_, opt_)
                 : compute_sat<Tout, Tin>(*eng_, f, opt_);
-        return res;
+        last_.insert(last_.end(), std::make_move_iterator(res.launches.begin()),
+                     std::make_move_iterator(res.launches.end()));
+        return simt::DeviceBuffer<Tout>::adopt(std::move(res.table));
     }
 
     simt::Engine* eng_;
@@ -474,9 +461,9 @@ private:
     TileGeometry tile_;
     StreamUpdateMode mode_;
     std::int64_t pushed_ = 0;
-    std::vector<Matrix<Tout>> sat_ring_;  ///< kIncremental: resident SATs
+    std::vector<simt::DeviceBuffer<Tout>> sat_ring_; ///< kIncremental
     std::vector<Matrix<Tin>> frame_ring_; ///< kRecompute: raw frames
-    simt::BufferPool::Lease<Tout> win_, cur_, old_;
+    simt::BufferPool::Lease<Tout> win_;
     std::vector<simt::LaunchStats> last_;
 };
 

@@ -94,34 +94,26 @@ using query_out_t = typename query_out<Tsat, Spec>::type;
 template <typename Spec>
 inline constexpr bool is_centered_v = !std::is_same_v<Spec, WindowSumSpec>;
 
-/// Post-process one pixel's window sum into the output value.  `pix` is
-/// the pixel's own value (only AdaptiveThreshold reads it).  Callers
-/// handle WindowSum's "window does not fit" case (store Tout{}) before
-/// calling; here the window is known to resolve.
+/// Post-process one pixel's window sum into the output value.  `dy` and
+/// `dx` are the window's height and width (yb - ya and xb - xa of its
+/// window_corners; only the mean-based specs read them), `pix` is the
+/// pixel's own value (only AdaptiveThreshold reads it).  Callers handle
+/// WindowSum's "window does not fit" case (store Tout{}) before calling;
+/// here the window is known to resolve.
 template <typename Spec, typename Tsat>
 [[nodiscard]] query_out_t<Tsat, Spec>
-query_emit(const Spec& spec, std::int64_t y, std::int64_t x, std::int64_t h,
-           std::int64_t w, Tsat sum, double pix)
+query_emit(const Spec& spec, std::int64_t dy, std::int64_t dx, Tsat sum,
+           double pix)
 {
-    if constexpr (std::is_same_v<Spec, BoxFilterSpec>) {
-        const std::int64_t r = std::max<std::int64_t>(0, spec.radius);
-        const std::int64_t ya = std::max<std::int64_t>(0, y - r) - 1;
-        const std::int64_t yb = std::min(h - 1, y + r);
-        const std::int64_t xa = std::max<std::int64_t>(0, x - r) - 1;
-        const std::int64_t xb = std::min(w - 1, x + r);
-        const double area = static_cast<double>(yb - ya) *
-                            static_cast<double>(xb - xa);
-        return static_cast<f32>(static_cast<double>(sum) / area);
-    } else if constexpr (std::is_same_v<Spec, AdaptiveThresholdSpec>) {
-        const std::int64_t r = std::max<std::int64_t>(0, spec.radius);
-        const std::int64_t ya = std::max<std::int64_t>(0, y - r) - 1;
-        const std::int64_t yb = std::min(h - 1, y + r);
-        const std::int64_t xa = std::max<std::int64_t>(0, x - r) - 1;
-        const std::int64_t xb = std::min(w - 1, x + r);
-        const double area = static_cast<double>(yb - ya) *
-                            static_cast<double>(xb - xa);
+    if constexpr (std::is_same_v<Spec, BoxFilterSpec> ||
+                  std::is_same_v<Spec, AdaptiveThresholdSpec>) {
+        const double area =
+            static_cast<double>(dy) * static_cast<double>(dx);
         const double mean = static_cast<double>(sum) / area;
-        return pix < mean * spec.frac ? u8{1} : u8{0};
+        if constexpr (std::is_same_v<Spec, BoxFilterSpec>)
+            return static_cast<f32>(mean);
+        else
+            return pix < mean * spec.frac ? u8{1} : u8{0};
     } else if constexpr (std::is_same_v<Spec, RegionHistogramSpec>) {
         return static_cast<u32>(sum);
     } else {
@@ -183,7 +175,8 @@ query_serial(const Matrix<Tin>& image, const Spec& spec)
             const Tsat sum =
                 detail::window_sum4(at(c.ya, c.xa), at(c.ya, c.xb),
                                     at(c.yb, c.xa), at(c.yb, c.xb));
-            out(y, x) = detail::query_emit(spec, y, x, h, w, sum,
+            out(y, x) = detail::query_emit(spec, c.yb - c.ya, c.xb - c.xa,
+                                           sum,
                                            static_cast<double>(image(y, x)));
         }
     return out;
@@ -219,7 +212,8 @@ namespace detail {
 // ---- Single-pass tile SAT kernel ("query_tile_sat") -----------------------
 //
 // One block per extended tile; warp i owns the 32-column chunk starting at
-// column 32*i, so the block covers tiles up to warps_per_block<Tsat>() * 32
+// column 32*i.  A launch runs as many warps as its widest tile has chunks,
+// at most warps_per_block<Tsat>(), so it covers tiles up to that many * 32
 // columns wide (wider tiles take the multi-kernel fallback in the driver).
 // The block walks 32-row slabs top to bottom; per slab: load the register
 // tile, row-scan each register within the chunk, propagate row carries
@@ -248,8 +242,9 @@ template <typename Tsat>
 /// Phase A of one slab, shared by both lowerings: load the register tile,
 /// row-scan it within the chunk, and deposit the per-row chunk totals
 /// (register lane 31) into this warp's row of the block_carry staging
-/// matrix via masked single-lane stores.  Chunks beyond the tile width
-/// deposit zeros so the barrier protocol holds for every warp.
+/// matrix via masked single-lane stores.  Chunks beyond the tile width (a
+/// narrower tile in a launch sized for a wider one) deposit zeros so the
+/// barrier protocol holds for every warp.
 template <typename Tsat, typename Tin, typename W>
 void tile_sat_slab_load(W& w, const TileSatJob<Tsat, Tin>& job,
                         std::int64_t row0, scan::WarpScanKind kind,
@@ -349,16 +344,20 @@ void query_tile_sat_block_native(simt::NativeBlockCtx& blk,
 }
 
 /// Launch the single-pass tile-SAT kernel for a group of extended tiles
-/// (one block each).  Every job must satisfy tile_sat_fits.
+/// (one block each, one warp per 32-column chunk of the widest tile).
+/// Every job must satisfy tile_sat_fits.
 template <typename Tsat, typename Tin>
 [[nodiscard]] simt::LaunchStats
 launch_query_tile_sat(simt::Engine& eng,
                       std::span<const TileSatJob<Tsat, Tin>> jobs,
                       scan::WarpScanKind kind, bool native)
 {
-    const int wc = warps_per_block<Tsat>();
-    for (const auto& j : jobs)
+    std::int64_t max_w = 1;
+    for (const auto& j : jobs) {
         SATGPU_EXPECTS(j.h > 0 && tile_sat_fits<Tsat>(j.w));
+        max_w = std::max(max_w, j.w);
+    }
+    const int wc = static_cast<int>(ceil_div(max_w, std::int64_t{kWarpSize}));
     const simt::KernelInfo info{
         "query_tile_sat", regs_per_thread<Tsat>(),
         block_carry_smem_bytes<Tsat>(wc)};
@@ -384,11 +383,19 @@ launch_query_tile_sat(simt::Engine& eng,
 // tile in group; barrier free, so ragged bands exit early).  The warp
 // walks its band's output rows top to bottom, streaming the local SAT
 // through a small ring cache: each SAT row segment the band's window
-// corners can touch is loaded ONCE (coalesced load_row chunks) and stays
+// corners can touch is loaded ONCE (DeviceBuffer::load_segment: coalesced
+// 32-wide chunks when instrumented, one straight copy natively) and stays
 // resident for the 2r+2 (centred) or win_h+1 (anchored) rows that read
 // it.  Per output pixel the data path is the four corner reads from the
 // ring plus three adds -- the streaming analogue of the classic gather
 // consumer, at ~1/3 of its read traffic.
+//
+// The ring is laid out so the per-pixel loop has no index arithmetic
+// beyond two table lookups: every ring row carries a leading zero column
+// (the exclusive -1 corner column), one extra all-zero row stands in for
+// the exclusive -1 corner row, and the two corner rows are resolved to
+// row pointers once per output row.  The per-lane corner columns and
+// window widths are resolved once per band (ConsumerBand).
 
 /// The extended rectangle a tile stages: the tile rect grown by the
 /// query halo, clamped to the image.
@@ -420,105 +427,101 @@ struct ConsumerJob {
     std::int64_t out_row0 = 0;          ///< output row bias (hist planes)
 };
 
-/// Streaming row cache over the local SAT: holds the last `depth` row
-/// segments [seg_lo, seg_hi] of the eh x ew table.  Rows are loaded in
-/// ascending order, each exactly once; at() resolves the exclusive -1
-/// row/column to zero.
-template <typename Tsat>
-class SatRowRing {
-public:
-    SatRowRing(const simt::DeviceBuffer<Tsat>& sat, std::int64_t ew,
-               std::int64_t seg_lo, std::int64_t seg_hi, std::int64_t depth)
-        : sat_(sat), ew_(ew), seg_lo_(seg_lo),
-          seg_len_(seg_hi - seg_lo + 1), depth_(depth),
-          cache_(static_cast<std::size_t>(depth * seg_len_))
-    {
-    }
+/// One band's consumer geometry, resolved once per band.  The ring caches
+/// local-SAT columns [seg_lo, seg_lo + seg_len) of the last `depth` rows
+/// at ring columns 1..seg_len; ring column 0 is the zero column, so a
+/// corner at local column c reads ring column c - seg_lo + 1 (0 for the
+/// exclusive c = -1).
+struct ConsumerBand {
+    std::int64_t c0 = 0;  ///< global column of lane 0
+    LaneMask m = 0;       ///< lanes inside the tile (the stored lanes)
+    LaneMask valid = 0;   ///< lanes whose window resolves (emit a sum)
+    std::array<std::int64_t, kWarpSize> ca{}, cb{}; ///< corner ring cols
+    std::array<std::int64_t, kWarpSize> dx{};       ///< window widths
+    std::int64_t seg_lo = 0, seg_len = 0, depth = 0;
 
-    /// Make rows [0, row] resident (loads any not yet seen).
-    void ensure(std::int64_t row)
+    [[nodiscard]] std::int64_t stride() const noexcept { return seg_len + 1; }
+    /// Ring storage: `depth` cached rows plus the zero row.
+    [[nodiscard]] std::int64_t ring_elems() const noexcept
     {
-        while (loaded_ < row) {
-            ++loaded_;
-            Tsat* dst = cache_.data() + (loaded_ % depth_) * seg_len_;
-            for (std::int64_t b = 0; b < seg_len_; b += kWarpSize) {
-                const std::int64_t base = seg_lo_ + b;
-                const LaneMask m =
-                    simt::lanes_in_range(base, seg_lo_ + seg_len_);
-                const auto v = sat_.load_row(loaded_ * ew_ + base, m);
-                for (int l = 0; l < kWarpSize; ++l)
-                    if (simt::lane_active(m, l))
-                        dst[b + l] = v.get(l);
-            }
-        }
+        return (depth + 1) * stride();
     }
-
-    [[nodiscard]] Tsat at(std::int64_t row, std::int64_t col) const
-    {
-        if (row < 0 || col < 0)
-            return Tsat{};
-        return cache_[static_cast<std::size_t>((row % depth_) * seg_len_ +
-                                               (col - seg_lo_))];
-    }
-
-private:
-    const simt::DeviceBuffer<Tsat>& sat_;
-    std::int64_t ew_, seg_lo_, seg_len_, depth_;
-    std::int64_t loaded_ = -1;
-    std::vector<Tsat> cache_;
 };
 
-/// Shared body of the fused consumer (both lowerings).
-template <typename Spec, typename Tsat, typename Tin, typename Tout,
-          typename W>
-void query_consumer_body(W& w, const ConsumerJob<Tsat, Tin, Tout>& job,
-                         const Spec& spec)
+template <typename Spec, typename Tsat, typename Tin, typename Tout>
+[[nodiscard]] ConsumerBand
+consumer_band(const ConsumerJob<Tsat, Tin, Tout>& job, const Spec& spec,
+              std::int64_t band_idx)
 {
-    const std::int64_t c0 = job.rect.x0 + w.block_idx().x * kWarpSize;
-    const LaneMask m = simt::lanes_in_range(c0, job.rect.x0 + job.rect.w);
-    if (m == 0)
-        return; // ragged band beyond this tile's columns
-    const simt::ProfileRange range{"query-consume"};
-    const std::int64_t cmax = c0 + simt::active_lane_count(m) - 1;
+    ConsumerBand b;
+    b.c0 = job.rect.x0 + band_idx * kWarpSize;
+    b.m = simt::lanes_in_range(b.c0, job.rect.x0 + job.rect.w);
+    if (b.m == 0)
+        return b; // ragged band beyond this tile's columns
+    const std::int64_t cmax = b.c0 + simt::active_lane_count(b.m) - 1;
 
     // Column-valid lanes and the per-lane corner columns, local to the
     // extended rect.  For anchored specs lanes whose window hangs off the
     // right edge emit Tout{} instead of a window sum.
-    LaneMask valid = m;
+    b.valid = b.m;
     std::array<std::int64_t, kWarpSize> lxa{}, lxb{};
-    std::int64_t seg_lo = 0, seg_hi = 0, depth = 0;
+    std::int64_t seg_hi = 0;
+    for (int l = 0; l < kWarpSize; ++l) {
+        const std::int64_t x = b.c0 + l;
+        if constexpr (!is_centered_v<Spec>)
+            if (x + spec.win_w > job.width)
+                b.valid &= ~(LaneMask{1} << l);
+        const auto c = window_corners(spec, 0, x, job.height, job.width);
+        lxa[static_cast<std::size_t>(l)] = c.xa - job.ext.x0;
+        lxb[static_cast<std::size_t>(l)] = c.xb - job.ext.x0;
+    }
+    b.seg_lo = std::max<std::int64_t>(0, lxa[0]);
     if constexpr (is_centered_v<Spec>) {
         const std::int64_t r = std::max<std::int64_t>(0, spec.radius);
-        for (int l = 0; l < kWarpSize; ++l) {
-            const std::int64_t x = c0 + l;
-            lxa[static_cast<std::size_t>(l)] =
-                std::max<std::int64_t>(0, x - r) - 1 - job.ext.x0;
-            lxb[static_cast<std::size_t>(l)] =
-                std::min(job.width - 1, x + r) - job.ext.x0;
-        }
-        seg_lo = std::max<std::int64_t>(0, lxa[0]);
         seg_hi = std::min(job.width - 1, cmax + r) - job.ext.x0;
-        depth = 2 * r + 2;
+        b.depth = 2 * r + 2;
     } else {
-        for (int l = 0; l < kWarpSize; ++l) {
-            const std::int64_t x = c0 + l;
-            if (x + spec.win_w > job.width)
-                valid &= ~(LaneMask{1} << l);
-            lxa[static_cast<std::size_t>(l)] = x - 1 - job.ext.x0;
-            lxb[static_cast<std::size_t>(l)] =
-                x + spec.win_w - 1 - job.ext.x0;
-        }
-        seg_lo = std::max<std::int64_t>(0, lxa[0]);
         const std::int64_t xvmax =
-            valid ? c0 + simt::active_lane_count(valid) - 1 : c0;
-        seg_hi = std::min(job.ext.w - 1, xvmax + spec.win_w - 1 - job.ext.x0);
-        depth = spec.win_h + 1;
+            b.valid ? b.c0 + simt::active_lane_count(b.valid) - 1 : b.c0;
+        seg_hi = std::min(job.ext.w - 1,
+                          xvmax + spec.win_w - 1 - job.ext.x0);
+        b.depth = spec.win_h + 1;
     }
+    b.seg_len = seg_hi - b.seg_lo + 1;
+    for (std::size_t l = 0; l < kWarpSize; ++l) {
+        b.ca[l] = lxa[l] - b.seg_lo + 1;
+        b.cb[l] = lxb[l] - b.seg_lo + 1;
+        b.dx[l] = lxb[l] - lxa[l];
+    }
+    return b;
+}
 
-    SatRowRing<Tsat> ring(*job.sat, job.ext.w, seg_lo, seg_hi, depth);
+/// Shared body of the fused consumer (both lowerings) for one band with
+/// `ring` (band.ring_elems() elements, any prior contents) as its cache.
+template <typename Spec, typename Tsat, typename Tin, typename Tout>
+void query_consumer_body(const ConsumerJob<Tsat, Tin, Tout>& job,
+                         const Spec& spec, const ConsumerBand& band,
+                         std::span<Tsat> ring)
+{
+    const simt::ProfileRange range{"query-consume"};
+    SATGPU_EXPECTS(static_cast<std::int64_t>(ring.size()) >=
+                   band.ring_elems());
+    const std::int64_t stride = band.stride();
+    Tsat* const zero_row = ring.data() + band.depth * stride;
+    std::fill_n(zero_row, stride, Tsat{});
+    for (std::int64_t s = 0; s < band.depth; ++s)
+        ring[static_cast<std::size_t>(s * stride)] = Tsat{};
+    // Local SAT rows are loaded in ascending order, each exactly once;
+    // row -1 (the exclusive zero row) is the extra zero row.
+    std::int64_t loaded = -1;
+    const auto row_ptr = [&](std::int64_t row) -> const Tsat* {
+        return row < 0 ? zero_row
+                       : ring.data() + (row % band.depth) * stride;
+    };
+    const auto& sat = *job.sat;
 
     for (std::int64_t y = job.rect.y0; y < job.rect.y0 + job.rect.h; ++y) {
-        LaneMask emit = valid;
+        LaneMask emit = band.valid;
         if constexpr (!is_centered_v<Spec>)
             if (y + spec.win_h > job.height)
                 emit = 0; // window hangs off the bottom: whole row is zero
@@ -527,34 +530,44 @@ void query_consumer_body(W& w, const ConsumerJob<Tsat, Tin, Tout>& job,
             // Row corners, local to the extended rect (>= -1; -1 is the
             // exclusive zero row -- the tile carries cancelled here).
             const auto cy =
-                window_corners(spec, y, c0, job.height, job.width);
+                window_corners(spec, y, band.c0, job.height, job.width);
             const std::int64_t lya = cy.ya - job.ext.y0;
             const std::int64_t lyb = cy.yb - job.ext.y0;
-            ring.ensure(lyb);
+            while (loaded < lyb) {
+                ++loaded;
+                sat.load_segment(
+                    loaded * job.ext.w + band.seg_lo,
+                    ring.subspan(static_cast<std::size_t>(
+                                     (loaded % band.depth) * stride + 1),
+                                 static_cast<std::size_t>(band.seg_len)));
+            }
+            const Tsat* const ra = row_ptr(lya);
+            const Tsat* const rb = row_ptr(lyb);
+            const std::int64_t dy = cy.yb - cy.ya;
             LaneVec<double> pix{};
             if constexpr (std::is_same_v<Spec, AdaptiveThresholdSpec>) {
                 const auto pv = job.in->load_row(
-                    (y - job.ext.y0) * job.ext.w + (c0 - job.ext.x0), emit);
+                    (y - job.ext.y0) * job.ext.w + (band.c0 - job.ext.x0),
+                    emit);
                 for (int l = 0; l < kWarpSize; ++l)
                     pix.set(l, static_cast<double>(pv.get(l)));
             }
             for (int l = 0; l < kWarpSize; ++l) {
                 if (!simt::lane_active(emit, l))
                     continue;
-                const auto la = lxa[static_cast<std::size_t>(l)];
-                const auto lb = lxb[static_cast<std::size_t>(l)];
-                const Tsat sum = window_sum4(
-                    ring.at(lya, la), ring.at(lya, lb), ring.at(lyb, la),
-                    ring.at(lyb, lb));
-                vals.set(l, query_emit(spec, y, c0 + l, job.height,
-                                       job.width, sum, pix.get(l)));
+                const auto li = static_cast<std::size_t>(l);
+                const std::int64_t a = band.ca[li], b = band.cb[li];
+                const Tsat sum = window_sum4(ra[a], ra[b], rb[a], rb[b]);
+                vals.set(l,
+                         query_emit(spec, dy, band.dx[li], sum, pix.get(l)));
             }
             // a+d-b-c: three adds per emitted lane (matches the gather
             // consumer's accounting).
             simt::detail::count_adds(3 * static_cast<std::uint64_t>(
                                              simt::active_lane_count(emit)));
         }
-        job.out->store_row((job.out_row0 + y) * job.width + c0, vals, m);
+        job.out->store_row((job.out_row0 + y) * job.width + band.c0, vals,
+                           band.m);
     }
 }
 
@@ -563,7 +576,11 @@ simt::KernelTask query_consumer_warp(simt::WarpCtx& w,
                                      const ConsumerJob<Tsat, Tin, Tout>& job,
                                      const Spec& spec)
 {
-    query_consumer_body(w, job, spec);
+    const ConsumerBand band = consumer_band(job, spec, w.block_idx().x);
+    if (band.m != 0) {
+        std::vector<Tsat> ring(static_cast<std::size_t>(band.ring_elems()));
+        query_consumer_body(job, spec, band, std::span<Tsat>(ring));
+    }
     co_return;
 }
 
@@ -571,7 +588,8 @@ simt::KernelTask query_consumer_warp(simt::WarpCtx& w,
 /// bands of the widest tile, grid.y = tile in group).  Barrier free:
 /// blocks beyond a tile's bands exit immediately, and per-tile output
 /// rects are disjoint so the launch respects the engine's disjoint-write
-/// discipline.
+/// discipline.  Native blocks take the ring from their executor slot's
+/// reusable scratch, so a block allocates nothing.
 template <typename Spec, typename Tsat, typename Tin, typename Tout>
 [[nodiscard]] simt::LaunchStats launch_query_consumer(
     simt::Engine& eng,
@@ -589,9 +607,15 @@ template <typename Spec, typename Tsat, typename Tin, typename Tout>
     if (native)
         return simt::native_launch(
             eng, info, cfg, [&](simt::NativeBlockCtx& blk) {
-                query_consumer_body(
-                    blk.warp(0),
-                    jobs[static_cast<std::size_t>(blk.block_idx().y)], spec);
+                const auto& job =
+                    jobs[static_cast<std::size_t>(blk.block_idx().y)];
+                const ConsumerBand band =
+                    consumer_band(job, spec, blk.block_idx().x);
+                if (band.m != 0)
+                    query_consumer_body(
+                        job, spec, band,
+                        blk.scratch<Tsat>(
+                            static_cast<std::size_t>(band.ring_elems())));
             });
     return eng.launch(info, cfg, [&](simt::WarpCtx& w) {
         return query_consumer_warp(
@@ -682,9 +706,10 @@ void query_gather_body(W& w, const simt::DeviceBuffer<Tsat>& table,
         for (int l = 0; l < kWarpSize; ++l) {
             if (!simt::lane_active(emit, l))
                 continue;
+            const auto li = static_cast<std::size_t>(l);
             const Tsat sum =
                 window_sum4(a.get(l), b.get(l), c.get(l), d.get(l));
-            vals.set(l, query_emit(spec, y, x0 + l, height, width, sum,
+            vals.set(l, query_emit(spec, yb - ya, xb[li] - xa[li], sum,
                                    pix.get(l)));
         }
         simt::detail::count_adds(
@@ -964,7 +989,7 @@ compute_query_fused(simt::Engine& eng, const Matrix<Tin>& image,
         }
     flush();
 
-    res.out = out.to_matrix(out_h, w);
+    res.out = std::move(out).release_matrix(out_h, w);
     return res;
 }
 
@@ -989,17 +1014,16 @@ compute_query_materialized(simt::Engine& eng, const Matrix<Tin>& image,
     constexpr bool kHist = std::is_same_v<Spec, RegionHistogramSpec>;
     QueryResult<Tout> res;
 
-    const auto consume = [&](const Matrix<Tsat>& table,
+    // The gather reads the built table in place: compute_sat's result
+    // owns its storage, so it is adopted as the device table, not copied.
+    const auto consume = [&](Matrix<Tsat>&& table,
                              const simt::DeviceBuffer<Tin>* input,
                              std::int64_t out_row0,
                              simt::DeviceBuffer<Tout>& out) {
-        auto lease = simt::acquire_or_new<Tsat>(opt.pool, h * w,
-                                                opt.pool_partition);
-        std::copy(table.flat().begin(), table.flat().end(),
-                  lease->host().begin());
+        const auto sat = simt::DeviceBuffer<Tsat>::adopt(std::move(table));
         const simt::PhaseScope phase(eng, "query.consume");
         res.launches.push_back(detail::launch_query_gather<Spec>(
-            eng, *lease, input, h, w, out_row0, spec, out, native));
+            eng, sat, input, h, w, out_row0, spec, out, native));
     };
 
     if constexpr (kHist && !(std::is_same_v<Tin, u8> &&
@@ -1025,9 +1049,11 @@ compute_query_materialized(simt::Engine& eng, const Matrix<Tin>& image,
             auto sat = compute_sat<Tsat>(eng, mask->to_matrix(h, w), opt);
             for (auto& l : sat.launches)
                 res.launches.push_back(std::move(l));
-            consume(sat.table, nullptr, std::int64_t{b} * h, out);
+            consume(std::move(sat.table), nullptr, std::int64_t{b} * h,
+                    out);
         }
-        res.out = out.to_matrix(std::int64_t{spec.bins} * h, w);
+        res.out =
+            std::move(out).release_matrix(std::int64_t{spec.bins} * h, w);
     } else {
         simt::DeviceBuffer<Tout> out(h * w);
         auto sat = compute_sat<Tsat>(eng, image, opt);
@@ -1041,8 +1067,8 @@ compute_query_materialized(simt::Engine& eng, const Matrix<Tin>& image,
                       img->host().begin());
             input = &*img;
         }
-        consume(sat.table, input, 0, out);
-        res.out = out.to_matrix(h, w);
+        consume(std::move(sat.table), input, 0, out);
+        res.out = std::move(out).release_matrix(h, w);
     }
     return res;
 }

@@ -636,17 +636,22 @@ Plan Runtime::plan(const PlanRequest& req_in)
                 fanout * eh * ew * (in_bytes + out_bytes + mask_bytes);
             // Extended tiles wider than one block's warp span fall back to
             // a pooled multi-kernel local-SAT build per staged tile.
-            const std::int64_t warps = out_bytes <= 4 ? 32 : 16;
-            if (ceil_div(ew, std::int64_t{32}) > warps)
+            const bool fits = visit_paper_pair(
+                req.dtypes, [&]<typename Tin, typename Tout>(
+                                std::type_identity<Tin>,
+                                std::type_identity<Tout>) {
+                    return detail::tile_sat_fits<Tout>(ew);
+                });
+            if (!fits)
                 p.workspace_bytes_ += per_image_bytes(eh, ew);
         } else {
-            // Materialize-then-consume: the full SAT build's scratch plus
-            // the table itself (and the histogram's per-bin mask plane),
-            // all pooled for the duration of the consumer pass.
+            // Materialize-then-consume: the full SAT build's staging and
+            // scratch, plus the staged input (threshold) or image and bin
+            // mask (histogram) held across it.  The table itself is the
+            // build's unpooled result, which the gather reads in place.
             p.workspace_bytes_ =
                 per_image_bytes(req.height, req.width) +
-                req.height * req.width *
-                    (out_bytes + in_bytes + mask_bytes);
+                req.height * req.width * (in_bytes + mask_bytes);
         }
         return p;
     }

@@ -295,6 +295,7 @@ public:
     [[nodiscard]] bool certified() const noexcept { return certified_; }
     /// Device bytes execute() leases per image.  Untiled: input staging
     /// plus the algorithm's scratch images (proportional to the image).
+    /// The returned table is never leased: it owns its storage.
     /// Tiled: an upper bound on the pool's high-water mark -- one
     /// per-tile workspace per distinct ragged tile shape plus
     /// carry_fanout carry buffers -- which is O(tile area) and
@@ -309,7 +310,9 @@ public:
 
     /// Run one image (dtype and shape must match the plan).  Pooled
     /// buffers are recycled between calls, so a loop of execute() over a
-    /// batch allocates nothing after the first image.
+    /// batch leases nothing new after the first image.  The returned table
+    /// owns its storage (the last pass's fresh result buffer, handed over
+    /// without a copy); no later call reuses or overwrites it.
     [[nodiscard]] RuntimeResult execute(const AnyMatrix& image) const;
     /// Coalesce K same-shaped images into fused grid.z = K launches (one
     /// per kernel pass).  Tables are bit-identical to K execute() calls in

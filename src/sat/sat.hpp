@@ -169,19 +169,21 @@ struct SatWaveResult {
     std::vector<simt::LaunchStats> launches;
 };
 
-/// Device scratch buffers (beyond the input staging buffer) an algorithm
-/// leases per invocation, in units of full h*w images of Tout.  Feeds the
-/// runtime's workspace accounting.
+/// Pooled device scratch buffers (beyond the input staging buffer) an
+/// algorithm leases per invocation, in units of full h*w images of Tout.
+/// The result table is not counted: the last pass writes a fresh buffer
+/// that becomes the returned table, so it never comes from the pool.
+/// Feeds the runtime's workspace accounting.
 [[nodiscard]] constexpr int scratch_images(Algorithm a) noexcept
 {
     switch (a) {
     case Algorithm::kBrltScanRow:
     case Algorithm::kScanRowBrlt:
-    case Algorithm::kScanRowColumn: return 2;
+    case Algorithm::kScanRowColumn: return 1;
     case Algorithm::kOpencvLike:
     case Algorithm::kNppLike:
-    case Algorithm::kNaiveScanScan: return 1;
-    case Algorithm::kScanTransposeScan: return 4;
+    case Algorithm::kNaiveScanScan: return 0;
+    case Algorithm::kScanTransposeScan: return 3;
     case Algorithm::kAuto: break;
     }
     return 0;
@@ -225,6 +227,42 @@ struct ScratchSet {
     }
 };
 
+/// A wave's result tables: K fresh, value-initialized device buffers
+/// (never pooled) that the last pass writes and that then become the
+/// returned tables without a copy, so a returned table never aliases
+/// memory a later call reuses.
+template <typename Tout>
+struct ResultSet {
+    std::vector<simt::DeviceBuffer<Tout>> bufs;
+
+    ResultSet(std::size_t k, std::int64_t count)
+    {
+        bufs.reserve(k);
+        for (std::size_t i = 0; i < k; ++i)
+            bufs.emplace_back(count);
+    }
+
+    [[nodiscard]] std::vector<simt::DeviceBuffer<Tout>*> outs()
+    {
+        std::vector<simt::DeviceBuffer<Tout>*> p;
+        p.reserve(bufs.size());
+        for (auto& b : bufs)
+            p.push_back(&b);
+        return p;
+    }
+
+    /// Hand every buffer over as an h x w table (leaves the set empty).
+    [[nodiscard]] std::vector<Matrix<Tout>> release(std::int64_t h,
+                                                    std::int64_t w) &&
+    {
+        std::vector<Matrix<Tout>> tables;
+        tables.reserve(bufs.size());
+        for (auto& b : bufs)
+            tables.push_back(std::move(b).release_matrix(h, w));
+        return tables;
+    }
+};
+
 } // namespace detail
 
 /// Compute the inclusive SATs of K same-shaped images in one fused WAVE:
@@ -234,9 +272,11 @@ struct ScratchSet {
 /// the service layer uses.  Each fused block executes exactly like the
 /// corresponding block of a single-image launch (kernels never read
 /// block_idx().z), so every table is bit-identical to compute_sat on that
-/// image alone.  All device buffers come from Options::pool when one is
-/// set; a wave holds K workspaces concurrently, which is why service plans
-/// get their own pool partition.
+/// image alone.  The input staging and scratch buffers come from
+/// Options::pool when one is set; a wave holds K workspaces concurrently,
+/// which is why service plans get their own pool partition.  The last pass
+/// writes K fresh buffers that become the returned tables without a copy,
+/// so each table owns its storage.
 template <typename Tout, typename Tin>
 [[nodiscard]] SatWaveResult<Tout>
 compute_sat_wave(simt::Engine& eng,
@@ -277,74 +317,61 @@ compute_sat_wave(simt::Engine& eng,
     const auto scratch = [&](std::int64_t count) {
         return detail::ScratchSet<Tout>(opt, k, count);
     };
-    const auto tables = [&](detail::ScratchSet<Tout>& set,
-                            std::vector<Matrix<Tout>>& out) {
-        out.reserve(k);
-        for (auto& l : set.leases)
-            out.push_back(l->to_matrix(h, w));
-    };
+    detail::ResultSet<Tout> out(k, h * w);
     SatWaveResult<Tout> res;
 
     switch (opt.algorithm) {
     case Algorithm::kBrltScanRow: {
-        auto mid = scratch(w * h), out = scratch(h * w);
+        auto mid = scratch(w * h);
         res.launches.push_back(launch_brlt_scanrow_wave<Tout, Tin>(
             eng, ins, h, w, mid.outs(), opt.padded_smem,
             /*warps_override=*/0, native));
         res.launches.push_back(launch_brlt_scanrow_wave<Tout, Tout>(
             eng, mid.ins(), w, h, out.outs(), opt.padded_smem,
             /*warps_override=*/0, native));
-        tables(out, res.tables);
         break;
     }
     case Algorithm::kScanRowBrlt: {
-        auto mid = scratch(w * h), out = scratch(h * w);
+        auto mid = scratch(w * h);
         res.launches.push_back(launch_scanrow_brlt_wave<Tout, Tin>(
             eng, ins, h, w, mid.outs(), opt.warp_scan, opt.padded_smem,
             native));
         res.launches.push_back(launch_scanrow_brlt_wave<Tout, Tout>(
             eng, mid.ins(), w, h, out.outs(), opt.warp_scan,
             opt.padded_smem, native));
-        tables(out, res.tables);
         break;
     }
     case Algorithm::kScanRowColumn: {
-        auto mid = scratch(h * w), out = scratch(h * w);
+        auto mid = scratch(h * w);
         res.launches.push_back(launch_scanrow_wave<Tout, Tin>(
             eng, ins, h, w, mid.outs(), opt.warp_scan, native));
         res.launches.push_back(launch_scancolumn_wave<Tout>(
             eng, mid.ins(), h, w, out.outs(), native));
-        tables(out, res.tables);
         break;
     }
     case Algorithm::kOpencvLike: {
-        auto buf = scratch(h * w);
         if constexpr (std::is_same_v<Tin, std::uint8_t>) {
             res.launches.push_back(
                 baselines::launch_opencv_horizontal_8u_wave<Tout>(
-                    eng, ins, h, w, buf.outs()));
+                    eng, ins, h, w, out.outs()));
         } else {
             res.launches.push_back(
                 baselines::launch_opencv_horizontal_wave<Tout, Tin>(
-                    eng, ins, h, w, buf.outs()));
+                    eng, ins, h, w, out.outs()));
         }
         res.launches.push_back(baselines::launch_opencv_vertical_wave<Tout>(
-            eng, buf.outs(), h, w));
-        tables(buf, res.tables);
+            eng, out.outs(), h, w));
         break;
     }
     case Algorithm::kNppLike: {
-        auto buf = scratch(h * w);
         res.launches.push_back(baselines::launch_npp_scanrow_wave<Tout, Tin>(
-            eng, ins, h, w, buf.outs()));
+            eng, ins, h, w, out.outs()));
         res.launches.push_back(baselines::launch_npp_scancol_wave<Tout>(
-            eng, buf.outs(), h, w));
-        tables(buf, res.tables);
+            eng, out.outs(), h, w));
         break;
     }
     case Algorithm::kScanTransposeScan: {
-        auto a = scratch(h * w), b = scratch(w * h), c = scratch(w * h),
-             d = scratch(h * w);
+        auto a = scratch(h * w), b = scratch(w * h), c = scratch(w * h);
         res.launches.push_back(launch_scanrow_wave<Tout, Tin>(
             eng, ins, h, w, a.outs(), opt.warp_scan));
         res.launches.push_back(baselines::launch_transpose_wave<Tout>(
@@ -352,32 +379,30 @@ compute_sat_wave(simt::Engine& eng,
         res.launches.push_back(launch_scanrow_wave<Tout, Tout>(
             eng, b.ins(), w, h, c.outs(), opt.warp_scan));
         res.launches.push_back(baselines::launch_transpose_wave<Tout>(
-            eng, c.ins(), w, h, d.outs()));
-        tables(d, res.tables);
+            eng, c.ins(), w, h, out.outs()));
         break;
     }
     case Algorithm::kNaiveScanScan: {
-        auto buf = scratch(h * w);
         res.launches.push_back(baselines::launch_naive_rows_wave<Tout, Tin>(
-            eng, ins, h, w, buf.outs()));
+            eng, ins, h, w, out.outs()));
         res.launches.push_back(baselines::launch_naive_cols_wave<Tout>(
-            eng, buf.outs(), h, w));
-        tables(buf, res.tables);
+            eng, out.outs(), h, w));
         break;
     }
     case Algorithm::kAuto:
         SATGPU_CHECK(false, "Algorithm::kAuto must be resolved by "
                             "Runtime::plan before execution");
     }
+    res.tables = std::move(out).release(h, w);
     return res;
 }
 
 /// Compute the inclusive SAT of `image` on the simulated GPU -- a K = 1
 /// wave, which performs the exact buffer acquisitions and launches the
 /// historical single-image path did (grid.z = 1, identical counters).
-/// All device buffers come from Options::pool when one is set (and are
-/// returned to it before this function returns), so repeated calls at one
-/// shape allocate nothing after the first.
+/// Staging and scratch buffers come from Options::pool when one is set
+/// (and are returned to it before this function returns), so repeated
+/// calls at one shape allocate only the returned table after the first.
 template <typename Tout, typename Tin>
 [[nodiscard]] SatResult<Tout> compute_sat(simt::Engine& eng,
                                           const Matrix<Tin>& image,

@@ -39,6 +39,15 @@ public:
         return b;
     }
 
+    /// Adopt a host matrix's storage as a device buffer without copying
+    /// it (the counterpart of release_matrix).
+    [[nodiscard]] static DeviceBuffer adopt(Matrix<T>&& m)
+    {
+        DeviceBuffer b;
+        b.data_ = std::move(m).release();
+        return b;
+    }
+
     [[nodiscard]] Matrix<T> to_matrix(std::int64_t height,
                                       std::int64_t width) const
     {
@@ -46,6 +55,18 @@ public:
         Matrix<T> m(height, width);
         std::copy(data_.begin(), data_.end(), m.flat().begin());
         return m;
+    }
+
+    /// Hand the storage over as a height x width host matrix without
+    /// copying it (the equivalent of keeping a device allocation as the
+    /// result instead of cudaMemcpy'ing it out).  The buffer is left
+    /// empty.
+    [[nodiscard]] Matrix<T> release_matrix(std::int64_t height,
+                                           std::int64_t width) &&
+    {
+        SATGPU_EXPECTS(height * width == size());
+        overlap_.reset();
+        return Matrix<T>(height, width, std::move(data_));
     }
 
     [[nodiscard]] std::int64_t size() const noexcept
@@ -223,6 +244,30 @@ public:
             return;
         }
         store(LaneVec<std::int64_t>::lane_index() + base, val, active, site);
+    }
+
+    /// Copy the CONTIGUOUS segment [base, base + dst.size()) into `dst`.
+    /// Identical semantics (and, when instrumented, identical accounting)
+    /// to the load_row sequence that moves it in 32-element chunks, the
+    /// last one masked to the segment's end: the instrumented path runs
+    /// exactly that sequence, the uninstrumented path is one span check
+    /// and a straight copy.
+    void load_segment(std::int64_t base, std::span<T> dst,
+                      std::source_location site = SATGPU_SITE) const
+    {
+        const auto n = static_cast<std::int64_t>(dst.size());
+        if (current_counters() == nullptr) {
+            SATGPU_CHECK(base >= 0 && base + n <= size(),
+                         "gmem load out of bounds");
+            std::copy_n(data_.data() + base, n, dst.data());
+            return;
+        }
+        for (std::int64_t b = 0; b < n; b += kWarpSize) {
+            const LaneMask m = lanes_in_range(b, n);
+            const auto v = load_row(base + b, m, site);
+            for (int l = 0; l < active_lane_count(m); ++l)
+                dst[static_cast<std::size_t>(b + l)] = v.get(l);
+        }
     }
 
     /// Warp-wide atomicAdd: lane l adds val[l] to element idx[l].  Lanes

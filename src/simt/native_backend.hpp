@@ -133,19 +133,19 @@ public:
         return smem_.bytes_used();
     }
 
-    /// One T per warp of the block -- a block program's hoisted per-warp
-    /// register state, e.g. a RegTile each -- in storage reused across
-    /// blocks and launches.  The contents are unspecified (whatever an
-    /// earlier block left): callers write every element before reading it.
-    /// One live span per block; a second call reuses the same storage.
+    /// `n` values of T -- a block program's hoisted register or cache
+    /// state -- in storage reused across blocks and launches (it only ever
+    /// grows, so a steady-state block allocates nothing).  The contents
+    /// are unspecified (whatever an earlier block left): callers write
+    /// every element before reading it.  One live span per block; a second
+    /// call reuses the same storage.
     template <typename T>
-    [[nodiscard]] std::span<T> warp_scratch()
+    [[nodiscard]] std::span<T> scratch(std::size_t n)
     {
         static_assert(std::is_trivially_copyable_v<T> &&
                           std::is_trivially_destructible_v<T> &&
                           alignof(T) <= alignof(std::max_align_t),
-                      "warp scratch holds plain register values");
-        const std::size_t n = warps_.size();
+                      "block scratch holds plain register values");
         const std::size_t words =
             (n * sizeof(T) + sizeof(std::max_align_t) - 1) /
             sizeof(std::max_align_t);
@@ -154,6 +154,13 @@ public:
         T* const p = reinterpret_cast<T*>(scratch_.data());
         std::uninitialized_default_construct_n(p, n); // no-op: starts lifetimes
         return {p, n};
+    }
+
+    /// One T per warp of the block (e.g. a RegTile each), as scratch().
+    template <typename T>
+    [[nodiscard]] std::span<T> warp_scratch()
+    {
+        return scratch<T>(warps_.size());
     }
 
 private:

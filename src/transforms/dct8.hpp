@@ -133,7 +133,7 @@ template <typename T>
     };
     res.launches.push_back(pass(in, h, w, mid));
     res.launches.push_back(pass(mid, w, h, out));
-    res.coeffs = out.to_matrix(h, w);
+    res.coeffs = std::move(out).release_matrix(h, w);
     return res;
 }
 

@@ -117,7 +117,7 @@ template <typename T>
         launch_haar_rows_pass<T>(eng, in, h, w, mid, padded_smem));
     res.launches.push_back(
         launch_haar_rows_pass<T>(eng, mid, w, h, out, padded_smem));
-    res.coeffs = out.to_matrix(h, w);
+    res.coeffs = std::move(out).release_matrix(h, w);
     return res;
 }
 

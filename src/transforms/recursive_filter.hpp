@@ -119,7 +119,7 @@ template <typename T>
         [&](simt::WarpCtx& wc) {
             return detail::iir_cols_warp<T>(wc, mid, h, w, feedback, out);
         }));
-    res.filtered = out.to_matrix(h, w);
+    res.filtered = std::move(out).release_matrix(h, w);
     return res;
 }
 

@@ -256,6 +256,50 @@ TEST(NativeLowering, ContiguousRowIoHonorsSegmentEdgeMasks)
     }
 }
 
+TEST(NativeLowering, SegmentLoadMatchesItsLoadRowChunks)
+{
+    // load_segment moves [base, base + n) like the load_row chunk sequence
+    // (32 lanes, the last chunk masked): same values either way, and when
+    // instrumented, the same counted loads.
+    simt::DeviceBuffer<int> src(200);
+    for (std::int64_t i = 0; i < 200; ++i)
+        src.host()[static_cast<std::size_t>(i)] = static_cast<int>(7 * i);
+    for (const std::int64_t n : {0, 1, 31, 32, 33, 41, 64, 70}) {
+        const std::int64_t base = 200 - n - 3;
+        std::vector<int> native(static_cast<std::size_t>(n), -1);
+        src.load_segment(base, native);
+
+        simt::PerfCounters seg, rows;
+        std::vector<int> instrumented(static_cast<std::size_t>(n), -1);
+        {
+            const simt::CounterScope scope(seg);
+            src.load_segment(base, instrumented);
+        }
+        {
+            const simt::CounterScope scope(rows);
+            for (std::int64_t b = 0; b < n; b += kWarpSize)
+                (void)src.load_row(base + b, simt::lanes_in_range(b, n));
+        }
+        for (std::int64_t i = 0; i < n; ++i) {
+            const auto k = static_cast<std::size_t>(i);
+            EXPECT_EQ(native[k], 7 * (base + i)) << "n " << n;
+            EXPECT_EQ(instrumented[k], native[k]) << "n " << n;
+        }
+        EXPECT_EQ(seg.gmem_ld_req, rows.gmem_ld_req) << "n " << n;
+        EXPECT_EQ(seg.gmem_ld_sectors, rows.gmem_ld_sectors) << "n " << n;
+        EXPECT_EQ(seg.gmem_bytes_ld, rows.gmem_bytes_ld) << "n " << n;
+    }
+}
+
+TEST(NativeLoweringDeathTest, SegmentLoadStillBoundsChecksOnFastPath)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const simt::DeviceBuffer<int> src(64);
+    std::vector<int> dst(10);
+    EXPECT_DEATH(src.load_segment(55, dst), "gmem load out of bounds");
+    EXPECT_DEATH(src.load_segment(-1, dst), "gmem load out of bounds");
+}
+
 // ------------------------------------------------ shared-memory row ops --
 
 namespace {

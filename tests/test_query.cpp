@@ -16,6 +16,36 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+// Counting replacement of the global allocator for this test binary: the
+// native fused consumer must not allocate per block
+// (QueryNative.FusedConsumerAllocatesNothingPerBlock).
+namespace {
+std::atomic<std::uint64_t> g_heap_allocs{0};
+} // namespace
+
+// GCC flags free() of what it sees inlined as an operator-new pointer;
+// malloc/free is exactly the pairing these replacements define.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t n)
+{
+    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(n == 0 ? 1 : n))
+        return p;
+    throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
 namespace sat = satgpu::sat;
 namespace simt = satgpu::simt;
 namespace model = satgpu::model;
@@ -263,6 +293,105 @@ TEST(QueryRuntime, NativeBackendCertifiesAndMatchesTheSimulator)
         EXPECT_TRUE(plan.execute(image).table == want)
             << sat::query_label(q);
     }
+}
+
+// ------------------------------------------ native fused-query coverage ----
+
+TEST(QueryNative, FusedMatchesOracleOnEveryEdgeCase)
+{
+    // Every spec, fused on the native backend, against the serial oracle:
+    // degenerate and ragged shapes, radii from 0 to larger than a tile
+    // (r = 70 takes the multi-kernel fallback), anchored windows that hang
+    // off the right and bottom edges, and a small and the default tile.
+    // Together they hit the ring's zero column and zero row (the -1
+    // corner) on the top/left image edges and the clamped corners on the
+    // bottom/right ones.
+    sat::Runtime& rt = shared_runtime();
+    const DtypePair dt{Dtype::u8_, Dtype::u32_};
+    std::vector<sat::QuerySpec> specs;
+    for (const int r : {0, 1, 4, 70}) {
+        specs.emplace_back(sat::BoxFilterSpec{r});
+        specs.emplace_back(sat::AdaptiveThresholdSpec{r, 0.9});
+        specs.emplace_back(sat::RegionHistogramSpec{4, r});
+    }
+    for (const auto& [wh, ww] : {std::pair{1, 1}, std::pair{5, 9},
+                                 std::pair{40, 3}, std::pair{2, 400},
+                                 std::pair{300, 70}})
+        specs.emplace_back(sat::WindowSumSpec{wh, ww});
+    for (const auto& [h, w] :
+         {std::pair<std::int64_t, std::int64_t>{1, 1}, {1, 300}, {33, 31},
+          {257, 65}, {97, 130}}) {
+        const auto image =
+            sat::AnyMatrix::random(dt.in, h, w, /*seed=*/static_cast<std::uint64_t>(h * w));
+        for (const auto& q : specs) {
+            const auto want = rt.query_reference(image, dt.out, q);
+            for (const sat::TileGeometry tile :
+                 {sat::TileGeometry{64, 64}, sat::TileGeometry{}}) {
+                const auto plan = rt.plan_query(
+                    {.height = h,
+                     .width = w,
+                     .dtypes = dt,
+                     .algorithm = sat::Algorithm::kBrltScanRow,
+                     .tile = tile,
+                     .backend = sat::Backend::kNative,
+                     .query = q,
+                     .query_mode = sat::QueryMode::kFused});
+                ASSERT_EQ(plan.backend(), sat::Backend::kNative);
+                ASSERT_TRUE(plan.query_fused());
+                EXPECT_TRUE(plan.execute(image).table == want)
+                    << sat::query_label(q) << " " << h << "x" << w
+                    << (tile.enabled() ? " tile 64" : " default tile");
+            }
+        }
+    }
+}
+
+TEST(QueryNative, FusedConsumerAllocatesNothingPerBlock)
+{
+    // Drive the consumer kernel directly over one 64 x 256 local SAT: a
+    // 2-band tile and four 8-band tiles.  After a warm-up launch (the
+    // executor slot's scratch grows once), a launch of 32 blocks must
+    // allocate exactly what a launch of 2 blocks does -- i.e. nothing per
+    // block.
+    using satgpu::f32;
+    using satgpu::u32;
+    using satgpu::u8;
+    constexpr std::int64_t kRows = 64, kCols = 256;
+    Matrix<u8> img(kRows, kCols);
+    satgpu::fill_random(img, 17);
+    const auto sat_buf =
+        simt::DeviceBuffer<u32>::adopt(sat::sat_serial<u32>(img));
+    simt::DeviceBuffer<f32> out(kRows * kCols);
+    const sat::BoxFilterSpec spec{4};
+    const sat::detail::ExtRect ext{0, 0, kRows, kCols};
+    using Job = sat::detail::ConsumerJob<u32, u8, f32>;
+    const auto job = [&](std::int64_t y0, std::int64_t h, std::int64_t w) {
+        return Job{&sat_buf, nullptr, &out, kRows, kCols,
+                   satgpu::sat::TileGrid::Rect{y0, 0, h, w}, ext, 0};
+    };
+    const std::vector<Job> small{job(0, kRows, 64)};
+    const std::vector<Job> large{job(0, 16, kCols), job(16, 16, kCols),
+                                 job(32, 16, kCols), job(48, 16, kCols)};
+    simt::Engine eng({.record_history = false, .num_threads = 1});
+    const auto allocs_of = [&](const std::vector<Job>& jobs) {
+        const std::uint64_t before = g_heap_allocs.load();
+        const auto stats = sat::detail::launch_query_consumer(
+            eng, std::span<const Job>(jobs), spec, /*native=*/true);
+        const std::uint64_t n = g_heap_allocs.load() - before;
+        EXPECT_EQ(stats.counters.blocks,
+                  jobs.size() * static_cast<std::size_t>(
+                                    satgpu::ceil_div(jobs[0].rect.w,
+                                                     std::int64_t{32})));
+        return n;
+    };
+    (void)allocs_of(large); // warm-up
+    const std::uint64_t few = allocs_of(small);
+    const std::uint64_t many = allocs_of(large);
+    EXPECT_EQ(many, few);
+
+    // The launches computed the box filter over the whole image.
+    const auto want = sat::query_serial<u32>(img, spec);
+    EXPECT_EQ(std::move(out).release_matrix(kRows, kCols), want);
 }
 
 TEST(QueryRuntime, WaveExecutionMatchesPerImageExecution)

@@ -2,9 +2,11 @@
 // coverage of the paper's seven dtype pairs, plan/execute identity with
 // the templated compute_sat and the serial CPU oracle, buffer-pool reuse
 // guarantees (including partition walls), batched and fused-wave
-// execution, the cost-model kAuto policy, and the service layer's
-// plan-cache key (sat/service.hpp).
+// execution, the cost-model kAuto policy, the service layer's plan-cache
+// key (sat/service.hpp), and result ownership: no returned table aliases
+// storage that a later call reuses.
 #include "core/random_fill.hpp"
+#include "sat/integral_video.hpp"
 #include "sat/runtime.hpp"
 #include "sat/service.hpp"
 
@@ -168,9 +170,15 @@ TEST(RuntimePlan, ResolvesShapeDtypeAndWorkspace)
     EXPECT_EQ(plan.height(), 64);
     EXPECT_EQ(plan.width(), 48);
     EXPECT_TRUE(plan.scores().empty()); // no ranking unless kAuto
-    // 1 input staging image (u8) + 4 scratch images (u32).
-    EXPECT_EQ(plan.workspace_bytes(), 64 * 48 * (1 + 4 * 4));
+    // 1 input staging image (u8) + 3 pooled scratch images (u32); the
+    // result table is the last pass's own buffer, never leased.
+    EXPECT_EQ(plan.workspace_bytes(), 64 * 48 * (1 + 3 * 4));
     EXPECT_FALSE(plan.launch_configs().empty());
+    // Every leased buffer is live at once during the pass sequence, so the
+    // bound is met exactly.
+    (void)plan.execute(sat::AnyMatrix::random(Dtype::u8_, 64, 48, 1));
+    EXPECT_EQ(rt.pool().high_water_bytes(/*partition=*/0),
+              static_cast<std::uint64_t>(plan.workspace_bytes()));
 }
 
 TEST(RuntimePlan, LaunchConfigsMatchExecution)
@@ -629,4 +637,127 @@ TEST(RuntimeReference, MatchesSerialOracle)
     const auto any = rt.reference(image, Dtype::u32_);
     const auto typed = sat::sat_serial<satgpu::u32>(image.as<satgpu::u8>());
     EXPECT_EQ(any.as<satgpu::u32>(), typed);
+}
+
+// ------------------------------------------------------ result ownership ----
+//
+// Returned tables own their storage: the last pass's result buffer is
+// handed over without a copy, so it must never be pooled memory that a
+// later call reuses.  Each case runs r1 = f(a); r2 = f(b); and demands that
+// r1 still equals the oracle of a.
+
+TEST(ResultOwnership, EarlierTablesSurviveLaterExecutes)
+{
+    sat::Runtime rt({.record_history = false});
+    const DtypePair dt{Dtype::u8_, Dtype::u32_};
+    const auto a = sat::AnyMatrix::random(dt.in, kH, kW, /*seed=*/1);
+    const auto b = sat::AnyMatrix::random(dt.in, kH, kW, /*seed=*/2);
+    const auto want_a = rt.reference(a, dt.out);
+    const auto want_b = rt.reference(b, dt.out);
+    for (const sat::Backend backend : {sat::Backend::kSim, sat::Backend::kNative})
+        for (const sat::Algorithm algo : sat::kAllAlgorithms) {
+            if (backend == sat::Backend::kNative &&
+                !sat::native_supported(algo))
+                continue;
+            const auto plan = rt.plan({.height = kH,
+                                       .width = kW,
+                                       .dtypes = dt,
+                                       .algorithm = algo,
+                                       .backend = backend});
+            ASSERT_EQ(plan.backend(), backend) << sat::to_string(algo);
+            const std::string what = std::string(sat::to_string(algo)) +
+                                     " " +
+                                     std::string(sat::to_string(backend));
+            const auto r1 = plan.execute(a);
+            const auto r2 = plan.execute(b);
+            EXPECT_TRUE(r1.table == want_a) << what;
+            EXPECT_TRUE(r2.table == want_b) << what;
+
+            const sat::AnyMatrix* ab[] = {&a, &b};
+            const sat::AnyMatrix* ba[] = {&b, &a};
+            const auto w1 = plan.execute_wave(ab);
+            const auto w2 = plan.execute_wave(ba);
+            ASSERT_EQ(w1.tables.size(), 2U);
+            EXPECT_TRUE(w1.tables[0] == want_a) << what << " wave";
+            EXPECT_TRUE(w1.tables[1] == want_b) << what << " wave";
+            EXPECT_TRUE(w2.tables[0] == want_b) << what << " wave";
+        }
+}
+
+TEST(ResultOwnership, EarlierQueryOutputsSurviveLaterExecutes)
+{
+    sat::Runtime rt({.record_history = false});
+    const DtypePair dt{Dtype::u8_, Dtype::u32_};
+    const auto a = sat::AnyMatrix::random(dt.in, kH, kW, /*seed=*/3);
+    const auto b = sat::AnyMatrix::random(dt.in, kH, kW, /*seed=*/4);
+    for (const sat::QuerySpec q :
+         {sat::QuerySpec{sat::BoxFilterSpec{4}},
+          sat::QuerySpec{sat::AdaptiveThresholdSpec{6, 0.9}},
+          sat::QuerySpec{sat::RegionHistogramSpec{8, 3}}}) {
+        const auto want_a = rt.query_reference(a, dt.out, q);
+        const auto want_b = rt.query_reference(b, dt.out, q);
+        for (const sat::QueryMode mode :
+             {sat::QueryMode::kFused, sat::QueryMode::kMaterialize})
+            for (const sat::Backend backend :
+                 {sat::Backend::kSim, sat::Backend::kNative}) {
+                const auto plan = rt.plan_query(
+                    {.height = kH,
+                     .width = kW,
+                     .dtypes = dt,
+                     .algorithm = sat::Algorithm::kBrltScanRow,
+                     .tile = {64, 64},
+                     .backend = backend,
+                     .query = q,
+                     .query_mode = mode});
+                ASSERT_EQ(plan.backend(), backend) << sat::query_label(q);
+                const auto r1 = plan.execute(a);
+                const auto r2 = plan.execute(b);
+                EXPECT_TRUE(r1.table == want_a)
+                    << sat::query_label(q) << " " << sat::to_string(mode)
+                    << " " << sat::to_string(backend);
+                EXPECT_TRUE(r2.table == want_b) << sat::query_label(q);
+            }
+    }
+}
+
+TEST(ResultOwnership, WindowTableSurvivesLaterPushes)
+{
+    using satgpu::u32;
+    using satgpu::u8;
+    constexpr std::int64_t kFrames = 6;
+    std::vector<Matrix<u8>> frames;
+    for (std::int64_t t = 0; t < kFrames; ++t) {
+        frames.emplace_back(kH, kW);
+        satgpu::fill_random(frames.back(), 100 + static_cast<std::uint64_t>(t));
+    }
+    for (const sat::StreamUpdateMode mode :
+         {sat::StreamUpdateMode::kIncremental,
+          sat::StreamUpdateMode::kRecompute})
+        for (const sat::Backend backend :
+             {sat::Backend::kSim, sat::Backend::kNative}) {
+            simt::Engine eng({.record_history = false});
+            simt::BufferPool pool;
+            sat::Options opt;
+            opt.pool = &pool;
+            opt.backend = backend;
+            sat::SlidingWindowSat<u32, u8> win(eng, /*window=*/2, kH, kW,
+                                               opt, {}, mode);
+            std::vector<Matrix<u32>> tables;
+            for (const auto& f : frames) {
+                (void)win.push(f);
+                tables.push_back(win.window_table());
+            }
+            for (std::int64_t t = 0; t < kFrames; ++t) {
+                std::vector<const Matrix<u8>*> in_window;
+                for (std::int64_t k = std::max<std::int64_t>(0, t - 1);
+                     k <= t; ++k)
+                    in_window.push_back(
+                        &frames[static_cast<std::size_t>(k)]);
+                EXPECT_EQ(tables[static_cast<std::size_t>(t)],
+                          sat::window_sat_serial<u32>(
+                              std::span<const Matrix<u8>* const>(in_window)))
+                    << "push " << t << " " << sat::to_string(mode) << " "
+                    << sat::to_string(backend);
+            }
+        }
 }
