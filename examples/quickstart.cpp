@@ -13,13 +13,13 @@ int main()
 
     // 1. Make an image.  The dtype pair is a runtime tag -- "8u32u" could
     //    come straight from a command line (see tools/satgpu_cli.cpp); all
-    //    seven pairs from the paper's Table 3 are in the kernel registry.
+    //    seven pairs from the paper's Table 3 are supported.
     const auto pair = parse_dtype_pair("8u32u");
     const auto image =
         sat::AnyMatrix::random(pair->in, 512, 512, /*seed=*/2024);
 
-    // 2. Plan once, then execute: the runtime resolves the dtype pair
-    //    against its kernel registry and runs the simulated-GPU kernels on
+    // 2. Plan once, then execute: the runtime dispatches the dtype pair to
+    //    the templated kernels and runs them on the simulated GPU with
     //    pooled device buffers.
     sat::Runtime rt;
     const auto plan = rt.plan({.height = 512,

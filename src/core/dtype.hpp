@@ -78,14 +78,23 @@ template <typename Tin, typename Tout>
 }
 
 /// The seven (input, output) pairs the paper evaluates (Sec. VI-A).  The
-/// runtime registry, the CLI and the dtype-sweeping benches all iterate
-/// this list.
+/// runtime, the CLI and the dtype-sweeping benches all iterate this list.
 inline constexpr DtypePair kPaperDtypePairs[] = {
     {Dtype::u8_, Dtype::i32_},  {Dtype::u8_, Dtype::u32_},
     {Dtype::u8_, Dtype::f32_},  {Dtype::i32_, Dtype::i32_},
     {Dtype::u32_, Dtype::u32_}, {Dtype::f32_, Dtype::f32_},
     {Dtype::f64_, Dtype::f64_},
 };
+
+/// Whether `p` is one of kPaperDtypePairs: the soft check for callers that
+/// must refuse other pairs without aborting (visit_paper_pair aborts).
+[[nodiscard]] constexpr bool is_paper_pair(DtypePair p) noexcept
+{
+    for (const DtypePair q : kPaperDtypePairs)
+        if (q == p)
+            return true;
+    return false;
+}
 
 /// Parse one dtype token ("8u", "32s", ...) from the front of `s`,
 /// consuming it.  Returns nullopt (and leaves `s` untouched) on no match.
@@ -113,7 +122,7 @@ parse_dtype(std::string_view s) noexcept
 
 /// Parse a TaTb pair name ("8u32s", "64f64f", ...).  Any in/out
 /// combination of the five dtypes parses; callers decide whether the pair
-/// is one they support (e.g. sat::find_kernel for the paper's seven).
+/// is one they support (e.g. is_paper_pair for the paper's seven).
 [[nodiscard]] constexpr std::optional<DtypePair>
 parse_dtype_pair(std::string_view s) noexcept
 {
@@ -128,9 +137,8 @@ parse_dtype_pair(std::string_view s) noexcept
 
 /// Invoke `f(std::type_identity<Tin>{}, std::type_identity<Tout>{})` for
 /// the paper dtype pair `p`; aborts on a pair outside kPaperDtypePairs.
-/// This is the ONE runtime-tag -> template bridge; every former
-/// string/if-else dispatch ladder (CLI, cost model, registry) routes
-/// through it.
+/// This is the ONE runtime-tag -> template bridge: the CLI, the cost
+/// model and every Plan/Runtime entry point route through it.
 template <typename F>
 constexpr decltype(auto) visit_paper_pair(DtypePair p, F&& f)
 {

@@ -7,7 +7,6 @@
 #include "simt/hazard_checker.hpp"
 
 #include <algorithm>
-#include <array>
 #include <optional>
 #include <utility>
 
@@ -61,143 +60,6 @@ std::int64_t AnyMatrix::width() const
     return visit([](const auto& m) { return m.width(); });
 }
 
-// ------------------------------------------------------------- registry ----
-
-namespace {
-
-template <typename Tin, typename Tout>
-KernelEntry make_entry()
-{
-    KernelEntry e;
-    e.dtypes = make_pair_of<Tin, Tout>();
-    e.exec = [](simt::Engine& eng, simt::BufferPool& pool,
-                const AnyMatrix& image, const Options& opt) {
-        Options with_pool = opt;
-        with_pool.pool = &pool;
-        auto r = compute_sat<Tout>(eng, image.as<Tin>(), with_pool);
-        return RuntimeResult{AnyMatrix(std::move(r.table)),
-                             std::move(r.launches)};
-    };
-    e.exec_tiled = [](simt::Engine& eng, simt::BufferPool& pool,
-                      const AnyMatrix& image, const Options& opt,
-                      const TileGeometry& tile) {
-        Options with_pool = opt;
-        with_pool.pool = &pool;
-        auto r = compute_sat_tiled<Tout>(eng, image.as<Tin>(), tile,
-                                         with_pool);
-        return RuntimeResult{AnyMatrix(std::move(r.table)),
-                             std::move(r.launches)};
-    };
-    e.exec_wave = [](simt::Engine& eng, simt::BufferPool& pool,
-                     std::span<const AnyMatrix* const> images,
-                     const Options& opt) {
-        Options with_pool = opt;
-        with_pool.pool = &pool;
-        std::vector<const Matrix<Tin>*> typed;
-        typed.reserve(images.size());
-        for (const AnyMatrix* img : images)
-            typed.push_back(&img->as<Tin>());
-        auto r = compute_sat_wave<Tout, Tin>(eng, typed, with_pool);
-        WaveResult out;
-        out.launches = std::move(r.launches);
-        out.tables.reserve(r.tables.size());
-        for (auto& t : r.tables)
-            out.tables.push_back(AnyMatrix(std::move(t)));
-        return out;
-    };
-    e.reference = [](const AnyMatrix& image) {
-        return AnyMatrix(sat_serial<Tout>(image.as<Tin>()));
-    };
-    e.exec_query_fused = [](simt::Engine& eng, simt::BufferPool& pool,
-                            const AnyMatrix& image, const Options& opt,
-                            const QuerySpec& q, const TileGeometry& tile) {
-        Options with_pool = opt;
-        with_pool.pool = &pool;
-        return std::visit(
-            [&]<typename Spec>(const Spec& spec) -> RuntimeResult {
-                if constexpr (std::is_same_v<Spec, std::monostate>) {
-                    SATGPU_CHECK(false, "query execution without a query");
-                } else {
-                    auto r = compute_query_fused<Tout>(
-                        eng, image.as<Tin>(), spec, tile, with_pool);
-                    return RuntimeResult{AnyMatrix(std::move(r.out)),
-                                         std::move(r.launches)};
-                }
-            },
-            q);
-    };
-    e.exec_query_mat = [](simt::Engine& eng, simt::BufferPool& pool,
-                          const AnyMatrix& image, const Options& opt,
-                          const QuerySpec& q) {
-        Options with_pool = opt;
-        with_pool.pool = &pool;
-        return std::visit(
-            [&]<typename Spec>(const Spec& spec) -> RuntimeResult {
-                if constexpr (std::is_same_v<Spec, std::monostate>) {
-                    SATGPU_CHECK(false, "query execution without a query");
-                } else {
-                    auto r = compute_query_materialized<Tout>(
-                        eng, image.as<Tin>(), spec, with_pool);
-                    return RuntimeResult{AnyMatrix(std::move(r.out)),
-                                         std::move(r.launches)};
-                }
-            },
-            q);
-    };
-    e.query_reference = [](const AnyMatrix& image, const QuerySpec& q) {
-        return std::visit(
-            [&]<typename Spec>(const Spec& spec) -> AnyMatrix {
-                if constexpr (std::is_same_v<Spec, std::monostate>) {
-                    SATGPU_CHECK(false, "query reference without a query");
-                } else if constexpr (std::is_same_v<Spec,
-                                                    RegionHistogramSpec>) {
-                    if constexpr (std::is_same_v<Tin, u8> &&
-                                  std::is_same_v<Tout, u32>)
-                        return AnyMatrix(
-                            query_serial_hist(image.as<u8>(), spec));
-                    else
-                        SATGPU_CHECK(false,
-                                     "region histogram queries require the "
-                                     "8u -> 32u dtype pair");
-                } else {
-                    return AnyMatrix(
-                        query_serial<Tout>(image.as<Tin>(), spec));
-                }
-            },
-            q);
-    };
-    return e;
-}
-
-std::array<KernelEntry, std::size(kPaperDtypePairs)> build_registry()
-{
-    std::array<KernelEntry, std::size(kPaperDtypePairs)> reg;
-    std::size_t i = 0;
-    for (const DtypePair p : kPaperDtypePairs)
-        reg[i++] = visit_paper_pair(
-            p, []<typename Tin, typename Tout>(std::type_identity<Tin>,
-                                               std::type_identity<Tout>) {
-                return make_entry<Tin, Tout>();
-            });
-    return reg;
-}
-
-} // namespace
-
-std::span<const KernelEntry> kernel_registry()
-{
-    static const auto reg = build_registry();
-    return reg;
-}
-
-const KernelEntry* find_kernel(DtypePair p)
-{
-    for (const KernelEntry& e : kernel_registry())
-        if (e.dtypes == p)
-            return &e;
-    return nullptr;
-}
-
 // ----------------------------------------------------------------- Plan ----
 
 std::vector<simt::LaunchConfig> Plan::launch_configs() const
@@ -230,51 +92,99 @@ Options plan_options(const PlanRequest& req, Algorithm resolved,
     return opt;
 }
 
+/// Invoke `f(spec)` with the enabled query's concrete spec.  Region
+/// histograms are defined on 8u images counted into 32u planes only, so f
+/// is never instantiated for them at any other pair.
+template <typename Tin, typename Tout, typename F>
+void visit_query(const QuerySpec& q, F&& f)
+{
+    std::visit(
+        [&]<typename Spec>(const Spec& spec) {
+            if constexpr (std::is_same_v<Spec, std::monostate>)
+                SATGPU_CHECK(false, "query execution without a query");
+            else if constexpr (std::is_same_v<Spec, RegionHistogramSpec> &&
+                               !(std::is_same_v<Tin, u8> &&
+                                 std::is_same_v<Tout, u32>))
+                SATGPU_CHECK(false, "region histogram queries require the "
+                                    "8u -> 32u dtype pair");
+            else
+                f(spec);
+        },
+        q);
+}
+
+/// Serial host oracle for one query spec (query_serial, or
+/// query_serial_hist for region histograms).
+template <typename Tout, typename Tin, typename Spec>
+auto query_oracle(const Matrix<Tin>& image, const Spec& spec)
+{
+    if constexpr (std::is_same_v<Spec, RegionHistogramSpec>)
+        return query_serial_hist(image, spec);
+    else
+        return query_serial<Tout>(image, spec);
+}
+
 } // namespace
 
 RuntimeResult Plan::execute(const AnyMatrix& image) const
 {
-    SATGPU_CHECK(rt_ != nullptr && entry_ != nullptr,
-                 "executing a default-constructed Plan");
-    check_plan_input(req_, image);
-    const Options opt = plan_options(req_, resolved_, backend_);
-    if (query_enabled(req_.query)) {
-        if (query_fused_)
-            return entry_->exec_query_fused(rt_->eng_, rt_->pool_, image,
-                                            opt, req_.query, req_.tile);
-        return entry_->exec_query_mat(rt_->eng_, rt_->pool_, image, opt,
-                                      req_.query);
-    }
-    if (req_.tile.enabled())
-        return entry_->exec_tiled(rt_->eng_, rt_->pool_, image, opt,
-                                  req_.tile);
-    return entry_->exec(rt_->eng_, rt_->pool_, image, opt);
+    const AnyMatrix* const images[] = {&image};
+    WaveResult w = execute_wave(images);
+    return {std::move(w.tables.front()), std::move(w.launches)};
 }
 
 WaveResult Plan::execute_wave(std::span<const AnyMatrix* const> images) const
 {
-    SATGPU_CHECK(rt_ != nullptr && entry_ != nullptr,
-                 "executing a default-constructed Plan");
+    SATGPU_CHECK(rt_ != nullptr, "executing a default-constructed Plan");
     SATGPU_CHECK(!images.empty(), "execute_wave needs at least one image");
     for (const AnyMatrix* img : images)
         check_plan_input(req_, *img);
-    if (query_enabled(req_.query) || req_.tile.enabled()) {
-        // Query and macro-tile pipelines are already multi-launch per
-        // image; run the wave as a per-image loop (bit-identical outputs,
-        // no grid.z fusion).
-        WaveResult out;
-        out.tables.reserve(images.size());
-        for (const AnyMatrix* img : images) {
-            auto r = execute(*img);
-            out.tables.push_back(std::move(r.table));
+    Options opt = plan_options(req_, resolved_, backend_);
+    opt.pool = &rt_->pool_;
+    simt::Engine& eng = rt_->eng_;
+    WaveResult out;
+    out.tables.reserve(images.size());
+    visit_paper_pair(req_.dtypes, [&]<typename Tin, typename Tout>(
+                                      std::type_identity<Tin>,
+                                      std::type_identity<Tout>) {
+        const auto append = [&](auto&& table, auto&& launches) {
+            out.tables.emplace_back(std::move(table));
             out.launches.insert(out.launches.end(),
-                                std::make_move_iterator(r.launches.begin()),
-                                std::make_move_iterator(r.launches.end()));
+                                std::make_move_iterator(launches.begin()),
+                                std::make_move_iterator(launches.end()));
+        };
+        if (!query_enabled(req_.query) && !req_.tile.enabled()) {
+            // One fused grid.z = K launch per kernel pass.
+            std::vector<const Matrix<Tin>*> typed;
+            typed.reserve(images.size());
+            for (const AnyMatrix* img : images)
+                typed.push_back(&img->as<Tin>());
+            auto r = compute_sat_wave<Tout, Tin>(eng, typed, opt);
+            for (auto& t : r.tables)
+                out.tables.emplace_back(std::move(t));
+            out.launches = std::move(r.launches);
+            return;
         }
-        return out;
-    }
-    const Options opt = plan_options(req_, resolved_, backend_);
-    return entry_->exec_wave(rt_->eng_, rt_->pool_, images, opt);
+        // Query and macro-tile pipelines are already multi-launch per
+        // image; run the wave as a per-image loop (no grid.z fusion).
+        for (const AnyMatrix* img : images) {
+            const Matrix<Tin>& image = img->as<Tin>();
+            if (!query_enabled(req_.query)) {
+                auto r = compute_sat_tiled<Tout>(eng, image, req_.tile, opt);
+                append(r.table, r.launches);
+                continue;
+            }
+            visit_query<Tin, Tout>(req_.query, [&](const auto& spec) {
+                auto r = query_fused_
+                             ? compute_query_fused<Tout>(eng, image, spec,
+                                                         req_.tile, opt)
+                             : compute_query_materialized<Tout>(eng, image,
+                                                                spec, opt);
+                append(r.out, r.launches);
+            });
+        }
+    });
+    return out;
 }
 
 // -------------------------------------------------------------- Runtime ----
@@ -355,9 +265,12 @@ double Runtime::predict_tiled_us(Algorithm algo, DtypePair dt,
 
 AnyMatrix Runtime::reference(const AnyMatrix& image, Dtype out) const
 {
-    const KernelEntry* e = find_kernel({image.dtype(), out});
-    SATGPU_CHECK(e != nullptr, "unsupported dtype pair");
-    return e->reference(image);
+    return visit_paper_pair(
+        {image.dtype(), out}, [&]<typename Tin, typename Tout>(
+                                  std::type_identity<Tin>,
+                                  std::type_identity<Tout>) {
+            return AnyMatrix(sat_serial<Tout>(image.as<Tin>()));
+        });
 }
 
 Plan Runtime::plan_query(const PlanRequest& req)
@@ -372,9 +285,15 @@ AnyMatrix Runtime::query_reference(const AnyMatrix& image, Dtype out,
 {
     SATGPU_CHECK(query_enabled(query),
                  "query_reference needs a query spec");
-    const KernelEntry* e = find_kernel({image.dtype(), out});
-    SATGPU_CHECK(e != nullptr, "unsupported dtype pair");
-    return e->query_reference(image, query);
+    AnyMatrix want;
+    visit_paper_pair({image.dtype(), out}, [&]<typename Tin, typename Tout>(
+                                               std::type_identity<Tin>,
+                                               std::type_identity<Tout>) {
+        visit_query<Tin, Tout>(query, [&](const auto& spec) {
+            want = AnyMatrix(query_oracle<Tout>(image.as<Tin>(), spec));
+        });
+    });
+    return want;
 }
 
 // -------------------------------------------------------- certification ----
@@ -390,15 +309,13 @@ namespace {
 /// The verdict is shape independent because the phase structure the
 /// checker certifies is: work inside a phase is per-warp predicated, and
 /// barriers are unconditional.
-bool default_certification_probe(Algorithm algo, const PlanRequest& req)
+template <typename Tin, typename Tout>
+bool certification_probe(Algorithm algo, const PlanRequest& req)
 {
     constexpr std::int64_t kProbeH = 97; // 3*32 + 1
     constexpr std::int64_t kProbeW = 130; // 4*32 + 2
-    const KernelEntry* entry = find_kernel(req.dtypes);
-    if (entry == nullptr)
-        return false;
-    const AnyMatrix img =
-        AnyMatrix::random(req.dtypes.in, kProbeH, kProbeW, /*seed=*/1729);
+    Matrix<Tin> img(kProbeH, kProbeW);
+    fill_random(img, /*seed=*/1729);
     simt::Engine eng({.record_history = false});
     simt::BufferPool pool;
 
@@ -406,67 +323,62 @@ bool default_certification_probe(Algorithm algo, const PlanRequest& req)
     opt.algorithm = algo;
     opt.warp_scan = req.warp_scan;
     opt.padded_smem = req.padded_smem;
+    opt.pool = &pool;
     opt.check = true;
-    const RuntimeResult sim = entry->exec(eng, pool, img, opt);
+    const auto sim = compute_sat<Tout>(eng, img, opt);
     if (simt::total_hazards(sim.launches) != 0)
         return false;
-    if (!(sim.table == entry->reference(img)))
+    if (!(sim.table == sat_serial<Tout>(img)))
         return false;
 
-    opt.check = false;
-    opt.backend = Backend::kNative;
-    const RuntimeResult nat = entry->exec(eng, pool, img, opt);
-    if (!(nat.table == sim.table))
+    Options nat_opt = opt;
+    nat_opt.check = false;
+    nat_opt.backend = Backend::kNative;
+    if (!(compute_sat<Tout>(eng, img, nat_opt).table == sim.table))
         return false;
 
-    if (req.tile.enabled()) {
-        // Re-diff through the macro-tile pipeline (per-tile kernels native,
-        // carry pass simulated): a probe tile small enough to tile the
-        // probe shape into a 2x3 ragged grid.
-        const TileGeometry probe_tile{64, 64, req.tile.carry_fanout};
-        const RuntimeResult nat_tiled =
-            entry->exec_tiled(eng, pool, img, opt, probe_tile);
-        if (!(nat_tiled.table == sim.table))
-            return false;
-    }
+    // Tiled configs re-diff through the macro-tile pipeline (per-tile
+    // kernels native, carry pass simulated) at a probe tile small enough
+    // to tile the probe shape into a 2x3 ragged grid.
+    const TileGeometry probe_tile{64, 64, req.tile.carry_fanout};
+    if (req.tile.enabled() &&
+        !(compute_sat_tiled<Tout>(eng, img, probe_tile, nat_opt).table ==
+          sim.table))
+        return false;
 
-    if (query_enabled(req.query)) {
-        // Query plans certify the CONSUMER paths too: both the fused tiled
-        // pipeline (at the same ragged probe grid) and the materialized
-        // gather pass must run hazard free on the simulator, match the
-        // serial oracle exactly, and re-match under the native lowering.
-        const AnyMatrix want = entry->query_reference(img, req.query);
-        const TileGeometry probe_tile{64, 64, req.tile.carry_fanout};
-        Options qopt;
-        qopt.algorithm = algo;
-        qopt.warp_scan = req.warp_scan;
-        qopt.padded_smem = req.padded_smem;
-        qopt.check = true;
-        const RuntimeResult fsim = entry->exec_query_fused(
-            eng, pool, img, qopt, req.query, probe_tile);
-        if (simt::total_hazards(fsim.launches) != 0)
-            return false;
-        if (!(fsim.table == want))
-            return false;
-        const RuntimeResult msim =
-            entry->exec_query_mat(eng, pool, img, qopt, req.query);
-        if (simt::total_hazards(msim.launches) != 0)
-            return false;
-        if (!(msim.table == want))
-            return false;
+    if (!query_enabled(req.query))
+        return true;
+    // Query plans certify the CONSUMER paths too: both the fused tiled
+    // pipeline (at the same ragged probe grid) and the materialized gather
+    // pass must run hazard free on the simulator, match the serial oracle
+    // exactly, and re-match under the native lowering.
+    bool ok = false;
+    visit_query<Tin, Tout>(req.query, [&](const auto& spec) {
+        const auto want = query_oracle<Tout>(img, spec);
+        const auto fsim =
+            compute_query_fused<Tout>(eng, img, spec, probe_tile, opt);
+        if (simt::total_hazards(fsim.launches) != 0 || !(fsim.out == want))
+            return;
+        const auto msim = compute_query_materialized<Tout>(eng, img, spec, opt);
+        if (simt::total_hazards(msim.launches) != 0 || !(msim.out == want))
+            return;
+        ok = compute_query_fused<Tout>(eng, img, spec, probe_tile, nat_opt)
+                     .out == want &&
+             compute_query_materialized<Tout>(eng, img, spec, nat_opt).out ==
+                 want;
+    });
+    return ok;
+}
 
-        qopt.check = false;
-        qopt.backend = Backend::kNative;
-        const RuntimeResult fnat = entry->exec_query_fused(
-            eng, pool, img, qopt, req.query, probe_tile);
-        if (!(fnat.table == want))
-            return false;
-        const RuntimeResult mnat =
-            entry->exec_query_mat(eng, pool, img, qopt, req.query);
-        if (!(mnat.table == want))
-            return false;
-    }
-    return true;
+bool default_certification_probe(Algorithm algo, const PlanRequest& req)
+{
+    if (!is_paper_pair(req.dtypes))
+        return false;
+    return visit_paper_pair(req.dtypes, [&]<typename Tin, typename Tout>(
+                                            std::type_identity<Tin>,
+                                            std::type_identity<Tout>) {
+        return certification_probe<Tin, Tout>(algo, req);
+    });
 }
 
 } // namespace
@@ -541,8 +453,7 @@ Plan Runtime::plan(const PlanRequest& req_in)
     p.rt_ = this;
     p.req_ = req;
     p.query_fused_ = query_fused;
-    p.entry_ = find_kernel(req.dtypes);
-    SATGPU_CHECK(p.entry_ != nullptr,
+    SATGPU_CHECK(is_paper_pair(req.dtypes),
                  "dtype pair outside the paper's seven supported pairs");
 
     // Validates the tile geometry (positive multiple-of-32 sides) as a
@@ -662,19 +573,10 @@ Plan Runtime::plan(const PlanRequest& req_in)
         // holds carry_fanout (tile + two edge vector) buffers per shape.
         const std::int64_t fanout =
             std::max(1, req.tile.carry_fanout);
-        std::vector<std::pair<std::int64_t, std::int64_t>> shapes;
-        for (std::int64_t ti = 0; ti < grid->rows(); ++ti)
-            for (std::int64_t tj = 0; tj < grid->cols(); ++tj) {
-                const auto r = grid->rect(ti, tj);
-                if (std::find(shapes.begin(), shapes.end(),
-                              std::pair{r.h, r.w}) == shapes.end())
-                    shapes.emplace_back(r.h, r.w);
-            }
         p.workspace_bytes_ = 0;
-        for (const auto& [h, w] : shapes)
-            p.workspace_bytes_ +=
-                per_image_bytes(h, w) +
-                fanout * (h * w + h + w) * out_bytes;
+        for (const ShapeCount& s : tile_shape_counts(*grid))
+            p.workspace_bytes_ += per_image_bytes(s.h, s.w) +
+                                  fanout * (s.h * s.w + s.h + s.w) * out_bytes;
     } else {
         p.workspace_bytes_ = per_image_bytes(req.height, req.width);
     }

@@ -15,14 +15,15 @@
 //                                                   1024, /*seed=*/42));
 //   // res.table holds the 32u SAT; plan.algorithm() says what kAuto chose.
 //
-// plan() resolves: the dtype pair -> kernel-registry entry (one entry per
-// paper pair, populated once from the templated launch chain), the
-// algorithm (Algorithm::kAuto asks model::CostModel to predict every
-// candidate's time on the target GPU and picks the fastest, keeping the
-// scores for introspection), the launch shapes, and the device workspace
-// footprint.  execute() then runs the launches with every device buffer
-// leased from the runtime's BufferPool, so steady-state serving performs
-// zero device allocations (asserted by tests).
+// plan() resolves: the dtype pair (one of the paper's seven; execute()
+// bridges it to the templated compute_sat* layer with one
+// visit_paper_pair), the algorithm (Algorithm::kAuto asks
+// model::CostModel to predict every candidate's time on the target GPU
+// and picks the fastest, keeping the scores for introspection), the
+// launch shapes, and the device workspace footprint.  execute() then
+// runs the launches with every device buffer leased from the runtime's
+// BufferPool, so steady-state serving performs zero device allocations
+// (asserted by tests).
 #pragma once
 
 #include "model/gpu_specs.hpp"
@@ -129,49 +130,6 @@ struct WaveResult {
     std::vector<AnyMatrix> tables;
     std::vector<simt::LaunchStats> launches;
 };
-
-/// One registry row: the type-erased entry points for a single (input,
-/// output) dtype pair, bound to the templated implementations at build
-/// time.
-struct KernelEntry {
-    DtypePair dtypes;
-    /// Runs compute_sat<Tout, Tin> with every buffer leased from `pool`.
-    RuntimeResult (*exec)(simt::Engine&, simt::BufferPool&, const AnyMatrix&,
-                          const Options&);
-    /// Runs compute_sat_tiled<Tout, Tin> (macro-tile out-of-core path).
-    RuntimeResult (*exec_tiled)(simt::Engine&, simt::BufferPool&,
-                                const AnyMatrix&, const Options&,
-                                const TileGeometry&);
-    /// Runs compute_sat_wave<Tout, Tin>: K same-shaped images through one
-    /// fused grid.z = K launch per kernel pass (bit-identical tables to K
-    /// exec calls; one launch overhead per pass instead of per image).
-    WaveResult (*exec_wave)(simt::Engine&, simt::BufferPool&,
-                            std::span<const AnyMatrix* const>,
-                            const Options&);
-    /// Serial CPU oracle (paper Alg. 1) at this pair.
-    AnyMatrix (*reference)(const AnyMatrix&);
-    /// Runs compute_query_fused: per macro-tile halo-extended local SATs
-    /// consumed in place, the global table never materialized
-    /// (docs/fused_queries.md).
-    RuntimeResult (*exec_query_fused)(simt::Engine&, simt::BufferPool&,
-                                      const AnyMatrix&, const Options&,
-                                      const QuerySpec&, const TileGeometry&);
-    /// Runs compute_query_materialized: full SAT, then the Fig. 1 gather
-    /// consumer pass over it (the fused path's baseline twin).
-    RuntimeResult (*exec_query_mat)(simt::Engine&, simt::BufferPool&,
-                                    const AnyMatrix&, const Options&,
-                                    const QuerySpec&);
-    /// Serial host oracle for a query at this pair (query_serial /
-    /// query_serial_hist over sat_serial).
-    AnyMatrix (*query_reference)(const AnyMatrix&, const QuerySpec&);
-};
-
-/// The kernel registry: one entry per paper dtype pair, populated once
-/// from the templated launch functions.
-[[nodiscard]] std::span<const KernelEntry> kernel_registry();
-
-/// Registry lookup; nullptr for pairs outside the paper's seven.
-[[nodiscard]] const KernelEntry* find_kernel(DtypePair p);
 
 /// One cost-model candidate considered by Algorithm::kAuto.
 struct AlgoScore {
@@ -308,17 +266,19 @@ public:
     /// Launch geometry the resolved algorithm will use at this shape.
     [[nodiscard]] std::vector<simt::LaunchConfig> launch_configs() const;
 
-    /// Run one image (dtype and shape must match the plan).  Pooled
-    /// buffers are recycled between calls, so a loop of execute() over a
-    /// batch leases nothing new after the first image.  The returned table
-    /// owns its storage (the last pass's fresh result buffer, handed over
-    /// without a copy); no later call reuses or overwrites it.
+    /// Run one image (dtype and shape must match the plan): a one-image
+    /// execute_wave, which leases and launches exactly what a single-image
+    /// run needs (grid.z = 1).  Pooled buffers are recycled between calls,
+    /// so a loop of execute() over a batch leases nothing new after the
+    /// first image.  The returned table owns its storage (the last pass's
+    /// fresh result buffer, handed over without a copy); no later call
+    /// reuses or overwrites it.
     [[nodiscard]] RuntimeResult execute(const AnyMatrix& image) const;
     /// Coalesce K same-shaped images into fused grid.z = K launches (one
     /// per kernel pass).  Tables are bit-identical to K execute() calls in
     /// the same order; the (modeled) per-launch overhead is paid once per
-    /// pass instead of once per image.  Tiled and query plans fall back to
-    /// a per-image loop of execute() (already multi-launch).  The
+    /// pass instead of once per image.  Tiled and query plans run a
+    /// per-image loop of their (already multi-launch) pipelines.  The
     /// wave holds K workspaces concurrently, so workspace_bytes() scales
     /// by K for the wave's duration.
     [[nodiscard]] WaveResult
@@ -331,7 +291,6 @@ private:
     Algorithm resolved_ = Algorithm::kBrltScanRow;
     Backend backend_ = Backend::kSim;
     bool certified_ = false;
-    const KernelEntry* entry_ = nullptr;
     std::vector<AlgoScore> scores_;
     std::int64_t workspace_bytes_ = 0;
     bool query_fused_ = false;

@@ -187,7 +187,7 @@ std::future<AnyMatrix> Service::submit(Request req)
 {
     SATGPU_CHECK(!req.image.empty(), "Service::submit: empty image");
     const DtypePair dt{req.image.dtype(), req.out};
-    SATGPU_CHECK(find_kernel(dt) != nullptr,
+    SATGPU_CHECK(is_paper_pair(dt),
                  "Service::submit: unsupported dtype pair");
     if (query_enabled(req.query))
         validate_query(req.query, dt); // abort on the caller, not a worker
@@ -702,7 +702,7 @@ StreamSession::StreamSession(Service& svc, Options opt)
     SATGPU_CHECK(opt_.height > 0 && opt_.width > 0,
                  "StreamSession: non-positive frame shape");
     SATGPU_CHECK(opt_.window > 0, "StreamSession: window must be >= 1");
-    SATGPU_CHECK(find_kernel(opt_.dtypes) != nullptr,
+    SATGPU_CHECK(is_paper_pair(opt_.dtypes),
                  "StreamSession: unsupported dtype pair");
 
     simt::Engine::Options eo;

@@ -436,7 +436,7 @@ int run_stream(const Args& args, DtypePair pair, const model::GpuSpec& gpu)
 int run(const Args& args)
 {
     const auto pair = parse_dtype_pair(args.dtype);
-    if (!pair || !sat::find_kernel(*pair)) {
+    if (!pair || !is_paper_pair(*pair)) {
         std::cerr << "unknown or unsupported dtype pair: " << args.dtype
                   << '\n';
         return 2;

@@ -10,7 +10,7 @@
 //
 //   kind    oracle (once per input)  paths
 //   sat     sat_serial               runtime-sim, runtime-native, wave,
-//                                    service
+//                                    wave-native, service
 //   query   query_serial             query-fused, query-materialized
 //   stream  window_sat_serial        stream-incremental, stream-recompute
 //
@@ -383,10 +383,14 @@ Outputs run_runtime(const Case& k)
 }
 
 /// The whole batch as one Plan::execute_wave (fused grid.z = K launches
-/// when untiled).
+/// when untiled).  A kNative request the native backend refuses resolves
+/// back to the simulator, as in run_runtime.
+template <sat::Backend B>
 Outputs run_wave(const Case& k)
 {
-    const auto plan = runtime_for(k.c.threads).plan(plan_request(k.c));
+    sat::PlanRequest req = plan_request(k.c);
+    req.backend = B;
+    const auto plan = runtime_for(k.c.threads).plan(req);
     std::vector<const sat::AnyMatrix*> images;
     for (const auto& image : k.inputs)
         images.push_back(&image);
@@ -517,7 +521,8 @@ const Path kPaths[] = {
     {"runtime-sim", of_kind<Kind::kSat>, run_runtime<sat::Backend::kSim>},
     {"runtime-native", of_kind<Kind::kSat>,
      run_runtime<sat::Backend::kNative>},
-    {"wave", of_kind<Kind::kSat>, run_wave},
+    {"wave", of_kind<Kind::kSat>, run_wave<sat::Backend::kSim>},
+    {"wave-native", of_kind<Kind::kSat>, run_wave<sat::Backend::kNative>},
     {"service", of_kind<Kind::kSat>, run_service},
     {"query-fused", of_kind<Kind::kQuery>, run_query<sat::QueryMode::kFused>},
     {"query-materialized", of_kind<Kind::kQuery>,
