@@ -4,7 +4,6 @@
 #include "sat/launch_params.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 namespace satgpu::model {
@@ -34,31 +33,6 @@ std::vector<simt::LaunchStats> dispatch_calibration(Algorithm algo,
                                     std::type_identity<Tin>,
                                     std::type_identity<Tout>) {
         return run_calibration<Tin, Tout>(algo, opt);
-    });
-}
-
-/// One timed calibration run of the real implementation under `backend`
-/// (instrumentation off -- the wall ladder estimates what execution will
-/// actually cost, and the native backend carries none anyway).
-double measure_wall_us(Algorithm algo, DtypePair dt, sat::Backend backend,
-                       sat::Options opt)
-{
-    return visit_paper_pair(dt, [&]<typename Tin, typename Tout>(
-                                    std::type_identity<Tin>,
-                                    std::type_identity<Tout>) {
-        Matrix<Tin> img(CostModel::kCalibSize, CostModel::kCalibSize);
-        fill_random(img, /*seed=*/1234);
-        simt::Engine eng({.smem_capacity_bytes = 96 * 1024,
-                          .record_history = false});
-        opt.algorithm = algo;
-        opt.backend = backend;
-        opt.check = false;
-        opt.profile = false;
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto r = sat::compute_sat<Tout>(eng, img, opt);
-        const auto t1 = std::chrono::steady_clock::now();
-        SATGPU_CHECK(!r.launches.empty(), "calibration ran no launches");
-        return std::chrono::duration<double, std::micro>(t1 - t0).count();
     });
 }
 
@@ -253,27 +227,6 @@ StreamTraffic predict_stream_traffic(DtypePair dt, std::int64_t h,
     t.recompute_bytes =
         static_cast<double>(window) * (build + add);
     return t;
-}
-
-double CostModel::predict_wall_us(Algorithm algo, DtypePair dt,
-                                  std::int64_t h, std::int64_t w,
-                                  sat::Backend backend,
-                                  const sat::Options& opt)
-{
-    SATGPU_CHECK(backend == sat::Backend::kSim ||
-                     (backend == sat::Backend::kNative &&
-                      sat::native_supported(algo)),
-                 "wall prediction needs kSim or a native-supported kNative");
-    const std::pair<Key, sat::Backend> key{
-        {algo, dt, opt.warp_scan, opt.padded_smem}, backend};
-    auto it = wall_us_.find(key);
-    if (it == wall_us_.end())
-        it = wall_us_
-                 .emplace(key, measure_wall_us(algo, dt, backend, opt))
-                 .first;
-    const double factor = static_cast<double>(h) * static_cast<double>(w) /
-                          (static_cast<double>(kCalibSize) * kCalibSize);
-    return it->second * factor;
 }
 
 } // namespace satgpu::model

@@ -11,6 +11,10 @@
 //
 // This is how the benchmark harness sweeps the paper's 1k..16k sizes in
 // seconds instead of functionally simulating 16k x 16k images.
+//
+// The model prices simulated GPU time only and never times the host:
+// Algorithm::kAuto ranks by it for simulator plans, while native plans
+// take a fixed choice (Runtime::plan, docs/backends.md).
 #pragma once
 
 #include "core/dtype.hpp"
@@ -37,20 +41,6 @@ public:
     expected_configs(sat::Algorithm algo, DtypePair dtypes,
                      std::int64_t height, std::int64_t width);
 
-    /// HOST wall-clock estimate (microseconds) of running `algo` under
-    /// `backend` at height x width: one timed calibration run of the real
-    /// implementation at kCalibSize per (config, backend), scaled by area.
-    /// This is the scale Algorithm::kAuto ranks by when the request allows
-    /// the native backend -- wall against wall, never wall against the
-    /// modeled-GPU microseconds of predict().  `backend` must be kSim, or
-    /// kNative for a native_supported algorithm.
-    [[nodiscard]] double predict_wall_us(sat::Algorithm algo,
-                                         DtypePair dtypes,
-                                         std::int64_t height,
-                                         std::int64_t width,
-                                         sat::Backend backend,
-                                         const sat::Options& opt = {});
-
     static constexpr std::int64_t kCalibSize = 1024;
 
 private:
@@ -68,7 +58,6 @@ private:
         }
     };
     std::map<Key, std::vector<simt::LaunchStats>> calibration_;
-    std::map<std::pair<Key, sat::Backend>, double> wall_us_;
 };
 
 /// Scale every event counter by `factor` (launch geometry fields excluded).

@@ -869,9 +869,6 @@ compute_query_fused(simt::Engine& eng, const Matrix<Tin>& image,
     const TileGrid grid(h, w, geo);
     const simt::CheckScope check_scope(eng, opt.check);
     const simt::ProfileEnableScope profile_scope(eng, opt.profile);
-    SATGPU_CHECK(opt.backend != Backend::kAuto,
-                 "Backend::kAuto must be resolved by Runtime::plan before "
-                 "execution");
     const bool native = opt.backend == Backend::kNative;
     if (native)
         SATGPU_CHECK(!opt.check && !opt.profile,

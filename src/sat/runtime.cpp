@@ -228,13 +228,6 @@ double Runtime::predict_us(Algorithm algo, DtypePair dt, std::int64_t height,
                            std::int64_t width, const model::GpuSpec& gpu,
                            const Options& opt)
 {
-    SATGPU_CHECK(opt.backend != Backend::kAuto,
-                 "resolve the backend before asking for a prediction");
-    // The native backend is ranked by what it will actually cost: host
-    // wall clock.  The simulator keeps the modeled-GPU scale.
-    if (opt.backend == Backend::kNative)
-        return cm_->predict_wall_us(algo, dt, height, width,
-                                    Backend::kNative, opt);
     const auto launches = cm_->predict(algo, dt, height, width, opt);
     return model::estimate_total_us(gpu, launches);
 }
@@ -470,55 +463,38 @@ Plan Runtime::plan(const PlanRequest& req_in)
     const bool allow_native =
         req.backend != Backend::kSim && !req.check && !req.profile;
 
-    if (req.algorithm == Algorithm::kAuto) {
+    if (req.algorithm != Algorithm::kAuto) {
+        p.resolved_ = req.algorithm;
+    } else if (allow_native) {
+        // Native kAuto is a fixed choice, not a ranking: measured native
+        // medians (docs/backends.md) put ScanRowColumn fastest, or within
+        // host noise of the fastest, at every shape from 64^2 to 4096^2 on
+        // 1 and 4 threads, and 2.3-4.8x ahead of the BRLT pair at <= 256^2.
+        // The counter model prices simulated GPU time, not host time, so
+        // it cannot rank native candidates, and timing them per key would
+        // make cold plans slow and their choice run-dependent.
+        p.resolved_ = Algorithm::kScanRowColumn;
+    } else {
         const model::GpuSpec& gpu = req.gpu ? *req.gpu : model::tesla_p100();
         Options opt;
         opt.warp_scan = req.warp_scan;
         opt.padded_smem = req.padded_smem;
-        // Wall-clock ranking ladder for native-allowing requests: EVERY
-        // candidate is estimated in host microseconds under the backend it
-        // would actually run (sim wall for uncertified candidates, native
-        // wall for certified ones), so one ranking never mixes the
-        // modeled-GPU scale with the wall scale.
-        const auto wall_rank = [&](Algorithm a, Backend b) {
-            if (!grid || grid->count() == 1)
-                return cm_->predict_wall_us(a, req.dtypes, req.height,
-                                            req.width, b, opt);
-            double us = 0;
-            for (const ShapeCount& s : tile_shape_counts(*grid))
-                us += static_cast<double>(s.count) *
-                      cm_->predict_wall_us(a, req.dtypes, s.h, s.w, b, opt);
-            return us;
-        };
         p.scores_.reserve(std::size(kAllAlgorithms));
-        for (const Algorithm a : kAllAlgorithms) {
-            AlgoScore s{a, 0.0};
-            if (allow_native && certify(a, req)) {
-                s.backend = Backend::kNative;
-                s.certified = true;
-            }
-            s.predicted_us =
-                req.backend == Backend::kSim
-                    ? (grid ? predict_tiled_us(a, req.dtypes, req.height,
-                                               req.width, req.tile, gpu, opt)
-                            : predict_us(a, req.dtypes, req.height,
-                                         req.width, gpu, opt))
-                    : wall_rank(a, s.backend);
-            p.scores_.push_back(s);
-        }
+        for (const Algorithm a : kAllAlgorithms)
+            p.scores_.push_back(
+                {a, grid ? predict_tiled_us(a, req.dtypes, req.height,
+                                            req.width, req.tile, gpu, opt)
+                         : predict_us(a, req.dtypes, req.height, req.width,
+                                      gpu, opt)});
         std::stable_sort(p.scores_.begin(), p.scores_.end(),
                          [](const AlgoScore& a, const AlgoScore& b) {
                              return a.predicted_us < b.predicted_us;
                          });
         p.resolved_ = p.scores_.front().algo;
-        p.backend_ = p.scores_.front().backend;
-        p.certified_ = p.scores_.front().certified;
-    } else {
-        p.resolved_ = req.algorithm;
-        if (allow_native && certify(p.resolved_, req)) {
-            p.backend_ = Backend::kNative;
-            p.certified_ = true;
-        }
+    }
+    if (allow_native && certify(p.resolved_, req)) {
+        p.backend_ = Backend::kNative;
+        p.certified_ = true;
     }
 
     const auto in_bytes = static_cast<std::int64_t>(dtype_size(req.dtypes.in));

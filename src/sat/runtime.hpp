@@ -17,13 +17,14 @@
 //
 // plan() resolves: the dtype pair (one of the paper's seven; execute()
 // bridges it to the templated compute_sat* layer with one
-// visit_paper_pair), the algorithm (Algorithm::kAuto asks
-// model::CostModel to predict every candidate's time on the target GPU
-// and picks the fastest, keeping the scores for introspection), the
-// launch shapes, and the device workspace footprint.  execute() then
-// runs the launches with every device buffer leased from the runtime's
-// BufferPool, so steady-state serving performs zero device allocations
-// (asserted by tests).
+// visit_paper_pair), the algorithm (Algorithm::kAuto takes ScanRowColumn
+// for native-allowed requests; otherwise it asks model::CostModel to
+// predict every candidate's time on the target GPU and picks the fastest,
+// keeping the scores for introspection), the backend (one certify()
+// step), the launch shapes, and the device workspace footprint.
+// execute() then runs the launches with every device buffer leased from
+// the runtime's BufferPool, so steady-state serving performs zero device
+// allocations (asserted by tests).
 #pragma once
 
 #include "model/gpu_specs.hpp"
@@ -135,21 +136,15 @@ struct WaveResult {
 struct AlgoScore {
     Algorithm algo;
     double predicted_us; ///< model-estimated end-to-end time on the GPU
-    /// Backend this candidate would execute under (kSim unless the request
-    /// allows kNative AND the candidate is hazard certified).  When it is
-    /// kNative, predicted_us is a host wall-clock estimate instead of a
-    /// modeled GPU time -- candidates of one ranking always share a scale.
-    Backend backend = Backend::kSim;
-    /// Whether this candidate's configuration holds a hazard-clean
-    /// certificate (only probed when the request allows kNative).
-    bool certified = false;
 };
 
 struct PlanRequest {
     std::int64_t height = 0;
     std::int64_t width = 0;
     DtypePair dtypes{Dtype::u8_, Dtype::u32_};
-    /// kAuto lets the cost model choose; anything else is taken verbatim.
+    /// kAuto lets Runtime::plan choose (ScanRowColumn when the request
+    /// may run natively, the cost model's pick otherwise); anything else
+    /// is taken verbatim.
     Algorithm algorithm = Algorithm::kAuto;
     scan::WarpScanKind warp_scan = scan::WarpScanKind::kKoggeStone;
     bool padded_smem = true;
@@ -178,7 +173,7 @@ struct PlanRequest {
     /// is the shared partition every direct Runtime user gets.
     int pool_partition = 0;
     /// Execution backend (docs/backends.md).  kSim (default) runs the
-    /// instrumented simulator.  kNative / kAuto may only lower to the
+    /// instrumented simulator.  kNative may only lower to the
     /// vectorized native backend when the resolved algorithm has a native
     /// lowering, the request carries no instrumentation (check/profile),
     /// AND the configuration holds a hazard-clean certificate
@@ -239,13 +234,15 @@ public:
     {
         return query_out_dtype(req_.query, req_.dtypes.out);
     }
-    /// Cost-model ranking, best first.  Non-empty iff requested() == kAuto.
+    /// Cost-model ranking, best first.  Non-empty iff requested() == kAuto
+    /// and the request may not run natively (kSim, check or profile);
+    /// native kAuto plans take ScanRowColumn without a ranking.
     [[nodiscard]] const std::vector<AlgoScore>& scores() const noexcept
     {
         return scores_;
     }
-    /// Backend the plan resolved to (never kAuto): kNative only for
-    /// hazard-certified configurations, kSim otherwise.
+    /// Backend the plan resolved to: kNative only for hazard-certified
+    /// configurations, kSim otherwise.
     [[nodiscard]] Backend backend() const noexcept { return backend_; }
     /// Whether the resolved configuration holds a hazard-clean certificate.
     /// Only probed when the request allowed kNative; always false for
@@ -330,10 +327,8 @@ public:
 
     /// Predicted end-to-end time of one algorithm at one shape on one GPU
     /// (the same estimate kAuto ranks by; benches sweep through this).
-    /// `opt.backend` selects the scale: kSim (default) is the modeled GPU
-    /// time; kNative is a host wall-clock estimate from the cost model's
-    /// timed calibration ladder (the native backend has no GPU model --
-    /// it IS the fast path, measured in wall clock).
+    /// Always the modeled GPU time of the simulated kernels, whatever
+    /// `opt.backend` says.
     [[nodiscard]] double predict_us(Algorithm algo, DtypePair dt,
                                     std::int64_t height, std::int64_t width,
                                     const model::GpuSpec& gpu,
@@ -342,7 +337,7 @@ public:
     /// Tiled prediction: per-tile kernel time summed over the tile grid
     /// (distinct ragged shapes predicted once, weighted by multiplicity)
     /// plus the synthetic carry pass.  kAuto ranks by this when
-    /// PlanRequest::tile is enabled.
+    /// PlanRequest::tile is enabled and the request may not run natively.
     [[nodiscard]] double predict_tiled_us(Algorithm algo, DtypePair dt,
                                           std::int64_t height,
                                           std::int64_t width,

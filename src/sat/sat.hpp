@@ -43,7 +43,7 @@ enum class Algorithm {
     kNppLike,
     kNaiveScanScan,
     kScanTransposeScan, // Bilgic et al. [17]: explicit gmem transpose
-    kAuto, // resolved by Runtime::plan via the cost model; never executed
+    kAuto, // resolved by Runtime::plan (docs/runtime_api.md); never executed
 };
 
 [[nodiscard]] constexpr std::string_view to_string(Algorithm a) noexcept
@@ -78,13 +78,9 @@ inline constexpr Algorithm kAllAlgorithms[] = {
 ///              no coroutines and no instrumentation.  Bit-identical tables, real wall-clock
 ///              speed.  Only Runtime::plan may select it, and only for
 ///              hazard-certified configurations.
-///   kAuto   -- let Runtime::plan pick: native where certified, simulator
-///              otherwise.  Never executed directly (like
-///              Algorithm::kAuto).
 enum class Backend {
     kSim,
     kNative,
-    kAuto,
 };
 
 [[nodiscard]] constexpr std::string_view to_string(Backend b) noexcept
@@ -92,7 +88,6 @@ enum class Backend {
     switch (b) {
     case Backend::kSim: return "sim";
     case Backend::kNative: return "native";
-    case Backend::kAuto: return "auto";
     }
     return "?";
 }
@@ -148,8 +143,7 @@ struct Options {
     /// vectorized loops (native_supported() algorithms only, and
     /// incompatible with `check`/`profile` -- the native path carries no
     /// instrumentation).  Callers should go through Runtime::plan, which
-    /// only selects kNative for hazard-certified configurations; kAuto
-    /// must be resolved there and aborts here.
+    /// only selects kNative for hazard-certified configurations.
     Backend backend = Backend::kSim;
 };
 
@@ -291,9 +285,6 @@ compute_sat_wave(simt::Engine& eng,
         SATGPU_EXPECTS(img->height() == h && img->width() == w);
     const simt::CheckScope check_scope(eng, opt.check);
     const simt::ProfileEnableScope profile_scope(eng, opt.profile);
-    SATGPU_CHECK(opt.backend != Backend::kAuto,
-                 "Backend::kAuto must be resolved by Runtime::plan before "
-                 "execution");
     const bool native = opt.backend == Backend::kNative;
     if (native) {
         SATGPU_CHECK(native_supported(opt.algorithm),

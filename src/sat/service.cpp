@@ -615,7 +615,7 @@ Plan& Service::plan_for(Worker& w, CacheEntry* entry)
 
     std::unique_lock elk(entry->mu);
     if (entry->resolved) {
-        // Another worker already paid the kAuto ranking; plan the concrete
+        // Another worker already resolved kAuto; plan the concrete
         // algorithm directly (identical Plan, no calibration pass).  The
         // backend stays the requested one: certification is deterministic,
         // so every worker resolves the same executing backend.

@@ -8,11 +8,13 @@
 //
 //  * Plan cache: requests are keyed by every plan-shaping field (shape,
 //    dtype pair, algorithm, warp-scan kind, smem padding, tile geometry,
-//    check flag).  The first submission of a key creates a cache entry and
-//    resolves kAuto once (deterministically -- the cost model is counter
-//    based); every worker that later executes that key instantiates its
-//    Plan from the already-resolved algorithm, so the expensive kAuto
-//    calibration is paid once per key per process, not per worker.
+//    check flag, backend, query).  The first submission of a key creates a
+//    cache entry and resolves kAuto once (deterministically: native
+//    requests take ScanRowColumn, simulator requests the counter-based
+//    cost model's pick); every worker that later executes that key
+//    instantiates its Plan from the already-resolved algorithm, so the
+//    cost model's calibration runs are paid once per key per process,
+//    not per worker.
 //
 //  * Coalescing: a worker popping a request also takes every other queued
 //    request with the SAME key (up to Options::max_wave, optionally
@@ -72,9 +74,9 @@ struct PlanKey {
     TileGeometry tile{};
     bool check = false;
     /// Requested backend (PlanRequest::backend).  Part of the key because
-    /// it shapes the plan: kNative/kAuto may resolve to a different
-    /// executing backend than kSim, and must never share a cache entry
-    /// with a kSim request of the same shape.
+    /// it shapes the plan: kNative may resolve to a different algorithm
+    /// and executing backend than kSim, and must never share a cache
+    /// entry with a kSim request of the same shape.
     Backend backend = Backend::kSim;
     /// SAT-consumer query this plan serves (monostate = a plain SAT
     /// table) and how it consumes the table.  Plan shaping: a query
@@ -280,7 +282,7 @@ public:
         bool padded_smem = true;
         TileGeometry tile{};
         bool check = false;
-        /// Requested execution backend.  kNative/kAuto only take effect
+        /// Requested execution backend.  kNative only takes effect
         /// when the resolved plan is hazard-certified (Runtime::certify);
         /// uncertified plans fall back to the simulator.  Tracing
         /// (Options::trace) forces the simulator: profiled plans need its

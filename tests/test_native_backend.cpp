@@ -821,24 +821,59 @@ TEST(NativeBackend, AlgorithmWithoutNativeLoweringFallsBack)
     EXPECT_FALSE(plan.certified());
 }
 
-TEST(NativeBackend, AutoScoresCarryBackendAndCertification)
+// Native kAuto is a fixed choice, not a ranking: every request that may
+// run natively resolves to a certified ScanRowColumn, identically on fresh
+// runtimes.  The shapes are the satgpu_serve mix, 1024^2 and a tiled plan.
+TEST(NativeBackend, AutoPinsScanRowColumnOnNativeRequests)
+{
+    const sat::PlanRequest requests[] = {
+        {.height = 128, .width = 128, .dtypes = {Dtype::u8_, Dtype::u32_}},
+        {.height = 96, .width = 160, .dtypes = {Dtype::u8_, Dtype::i32_}},
+        {.height = 256, .width = 256, .dtypes = {Dtype::u8_, Dtype::u32_}},
+        {.height = 64, .width = 64, .dtypes = {Dtype::f32_, Dtype::f32_}},
+        {.height = 160, .width = 96, .dtypes = {Dtype::u32_, Dtype::u32_}},
+        {.height = 1024, .width = 1024, .dtypes = {Dtype::u8_, Dtype::u32_}},
+        {.height = 1000,
+         .width = 700,
+         .dtypes = {Dtype::u8_, Dtype::u32_},
+         .tile = {256, 256}},
+    };
+    for (int run = 0; run < 2; ++run) {
+        sat::Runtime rt({.record_history = false});
+        for (sat::PlanRequest req : requests) {
+            req.algorithm = sat::Algorithm::kAuto;
+            req.backend = sat::Backend::kNative;
+            const auto plan = rt.plan(req);
+            const std::string where = std::to_string(req.height) + "x" +
+                                      std::to_string(req.width) + " run " +
+                                      std::to_string(run);
+            EXPECT_EQ(plan.algorithm(), sat::Algorithm::kScanRowColumn)
+                << where;
+            EXPECT_EQ(plan.backend(), sat::Backend::kNative) << where;
+            EXPECT_TRUE(plan.certified()) << where;
+            EXPECT_TRUE(plan.scores().empty()) << where;
+        }
+    }
+}
+
+// A refused certificate leaves the native kAuto choice on the simulator.
+TEST(NativeBackend, AutoRunsOnSimulatorWhenCertificationIsRefused)
 {
     sat::Runtime rt({.record_history = false});
-    const auto plan = rt.plan({.height = 256,
-                               .width = 256,
-                               .dtypes = {Dtype::f32_, Dtype::f32_},
+    rt.set_certification_probe(
+        [](sat::Algorithm, const sat::PlanRequest&) { return false; });
+    const auto plan = rt.plan({.height = 128,
+                               .width = 128,
+                               .dtypes = {Dtype::u8_, Dtype::u32_},
                                .algorithm = sat::Algorithm::kAuto,
-                               .backend = sat::Backend::kAuto});
-    ASSERT_FALSE(plan.scores().empty());
-    // The winner is the top score, and the plan runs under its backend.
-    EXPECT_EQ(plan.algorithm(), plan.scores().front().algo);
-    EXPECT_EQ(plan.backend(), plan.scores().front().backend);
-    for (const auto& s : plan.scores()) {
-        if (s.backend == sat::Backend::kNative) {
-            EXPECT_TRUE(s.certified) << sat::to_string(s.algo);
-        }
-        EXPECT_GT(s.predicted_us, 0.0) << sat::to_string(s.algo);
-    }
+                               .backend = sat::Backend::kNative});
+    EXPECT_EQ(plan.algorithm(), sat::Algorithm::kScanRowColumn);
+    EXPECT_EQ(plan.backend(), sat::Backend::kSim);
+    EXPECT_FALSE(plan.certified());
+    const auto image =
+        sat::AnyMatrix::random(Dtype::u8_, 128, 128, /*seed=*/5);
+    EXPECT_TRUE(plan.execute(image).table ==
+                rt.reference(image, Dtype::u32_));
 }
 
 // The acceptance-bar fixture: a certification probe wired to a kernel with

@@ -283,7 +283,7 @@ TEST(QueryRuntime, NativeBackendCertifiesAndMatchesTheSimulator)
         const auto plan = rt.plan_query({.height = kH,
                                          .width = kW,
                                          .dtypes = {Dtype::u8_, Dtype::u32_},
-                                         .backend = sat::Backend::kAuto,
+                                         .backend = sat::Backend::kNative,
                                          .query = q,
                                          .query_mode =
                                              sat::QueryMode::kFused});

@@ -85,8 +85,6 @@ std::optional<sat::Backend> parse_backend(std::string_view s)
         return sat::Backend::kSim;
     if (s == "native")
         return sat::Backend::kNative;
-    if (s == "auto")
-        return sat::Backend::kAuto;
     return std::nullopt;
 }
 
@@ -104,13 +102,24 @@ std::optional<sat::Algorithm> parse_algo(std::string_view s)
     return std::nullopt;
 }
 
+/// How kAuto resolved: the fixed native choice, or the cost model's pick.
+void print_auto_choice(const sat::Plan& plan, const model::GpuSpec& gpu)
+{
+    std::cout << "auto selected: " << sat::to_string(plan.algorithm());
+    if (plan.scores().empty())
+        std::cout << " (native default)\n";
+    else
+        std::cout << " (cost model, " << gpu.name << ")\n";
+}
+
 void usage()
 {
     std::cout <<
         "usage: satgpu_cli [options]\n"
         "  --algo A      brlt-scanrow | scanrow-brlt | scanrowcolumn |\n"
         "                opencv | npp | naivescanscan | scantransposescan |\n"
-        "                auto (cost-model pick; default brlt-scanrow)\n"
+        "                auto (cost-model pick; ScanRowColumn with\n"
+        "                --backend native; default brlt-scanrow)\n"
         "  --size HxW    matrix size (default 1024x1024)\n"
         "  --dtype D     8u32s | 8u32u | 8u32f | 32s32s | 32u32u | 32f32f |\n"
         "                64f64f (default 8u32u)\n"
@@ -129,7 +138,7 @@ void usage()
         "  --threads N   host threads simulating blocks; 0 = all hardware\n"
         "                threads, 1 = sequential (default 0; results and\n"
         "                counters are identical for every value)\n"
-        "  --backend B   sim | native | auto (default sim).  native runs\n"
+        "  --backend B   sim | native (default sim).  native runs\n"
         "                hazard-certified plans as plain vectorized loops\n"
         "                (bit-identical tables, no instrumentation) and\n"
         "                falls back to the simulator when the plan is\n"
@@ -244,7 +253,7 @@ std::optional<Args> parse(int argc, char** argv)
             const char* v = next();
             auto b = v ? parse_backend(v) : std::nullopt;
             if (!b) {
-                std::cerr << "bad --backend (want sim|native|auto)\n";
+                std::cerr << "bad --backend (want sim|native)\n";
                 return std::nullopt;
             }
             a.backend = *b;
@@ -339,8 +348,7 @@ int run_stream(const Args& args, DtypePair pair, const model::GpuSpec& gpu)
                                     .gpu = &gpu,
                                     .backend = args.backend});
         algo = probe.algorithm();
-        std::cout << "auto selected: " << sat::to_string(algo)
-                  << " (cost model, " << gpu.name << ")\n";
+        print_auto_choice(probe, gpu);
     }
 
     const auto mode = sat::resolve_stream_mode(
@@ -491,8 +499,7 @@ int run(const Args& args)
                                          : "materialize then consume")
                   << ")\n";
     if (args.algo == sat::Algorithm::kAuto)
-        std::cout << "auto selected: " << sat::to_string(plan.algorithm())
-                  << " (cost model, " << gpu->name << ")\n";
+        print_auto_choice(plan, *gpu);
     if (args.backend != sat::Backend::kSim)
         std::cout << "backend: " << sat::to_string(plan.backend())
                   << (plan.certified() ? " (hazard-certified)"
@@ -501,15 +508,9 @@ int run(const Args& args)
                   << '\n';
     if (args.verbose) {
         if (!plan.scores().empty()) {
-            // With --backend sim the predicted column is modeled GPU time;
-            // otherwise every candidate is ranked by host wall time under
-            // the backend that would actually run it.
-            TablePrinter scores({"candidate", "backend", "certified",
-                                 "predicted time (us)"});
+            TablePrinter scores({"candidate", "predicted time (us)"});
             for (const auto& s : plan.scores())
                 scores.add_row({std::string(sat::to_string(s.algo)),
-                                std::string(sat::to_string(s.backend)),
-                                s.certified ? "yes" : "no",
                                 TablePrinter::fmt(s.predicted_us, 2)});
             scores.print(std::cout);
         }

@@ -24,11 +24,15 @@
 #include "core/random_fill.hpp"
 #include "sat/service.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -186,22 +190,50 @@ LoadReport run_load(double qps, double duration_s,
 
     std::vector<std::future<sat::AnyMatrix>> futures(n);
     std::vector<Clock::time_point> submitted(n);
+    std::vector<Clock::time_point> ready(n);
+
+    // Stamp every future when it becomes ready, also while submission is
+    // still running: poll the outstanding ones (oldest first) at 250 us
+    // granularity until `until`.
+    std::vector<std::size_t> outstanding;
+    const auto reap_until = [&](Clock::time_point until) {
+        while (!outstanding.empty()) {
+            (void)futures[outstanding.front()].wait_until(std::min(
+                until, Clock::now() + std::chrono::microseconds(250)));
+            const auto now = Clock::now();
+            std::erase_if(outstanding, [&](std::size_t i) {
+                if (futures[i].wait_for(std::chrono::seconds(0)) !=
+                    std::future_status::ready)
+                    return false;
+                ready[i] = now;
+                return true;
+            });
+            if (now >= until)
+                return;
+        }
+    };
 
     const auto interval =
         std::chrono::duration<double>(duration_s / static_cast<double>(n));
     const auto start = Clock::now();
     for (std::size_t i = 0; i < n; ++i) {
-        std::this_thread::sleep_until(
+        const auto due =
             start + std::chrono::duration_cast<Clock::duration>(
-                        interval * static_cast<double>(i)));
+                        interval * static_cast<double>(i));
+        reap_until(due);
+        std::this_thread::sleep_until(due);
         submitted[i] = Clock::now();
         sat::Service::Request req;
         req.image = sat::AnyMatrix(images[i]);
         req.out = outs[i];
         req.backend = backend;
         futures[i] = svc.submit(std::move(req));
+        outstanding.push_back(i);
     }
+    reap_until(Clock::time_point::max());
+    const auto end = Clock::now();
 
+    // Collect and check the tables outside the timed interval.
     std::vector<double> latencies;
     latencies.reserve(n);
     std::uint64_t rejected_seen = 0;
@@ -209,7 +241,7 @@ LoadReport run_load(double qps, double duration_s,
     for (std::size_t i = 0; i < n; ++i) {
         try {
             sat::AnyMatrix table = futures[i].get();
-            latencies.push_back(us_between(submitted[i], Clock::now()));
+            latencies.push_back(us_between(submitted[i], ready[i]));
             if (verify) {
                 ++rep.verified;
                 if (!(table == oracle.reference(images[i], outs[i])))
@@ -219,7 +251,6 @@ LoadReport run_load(double qps, double duration_s,
             ++rejected_seen;
         }
     }
-    const auto end = Clock::now();
 
     rep.elapsed_us = us_between(start, end);
     rep.throughput_rps =
@@ -461,7 +492,7 @@ int usage(int code)
            "                    [--wave K] [--linger-us U] [--queue N]\n"
            "                    [--policy block|reject] [--trace "
            "same|mixed]\n"
-           "                    [--backend sim|native|auto]\n"
+           "                    [--backend sim|native]\n"
            "                    [--verify] [--compare] [--json]\n"
            "                    [--metrics-out F] [--metrics-every MS]\n"
            "                    [--trace-out F] [--events-out F]\n"
@@ -469,7 +500,7 @@ int usage(int code)
            "  Load phase: paced open-loop trace through sat::Service;\n"
            "  reports p50/p99 latency, throughput and service counters.\n"
            "  --backend B  requested execution backend for every request\n"
-           "            (default sim).  native/auto run hazard-certified\n"
+           "            (default sim).  native runs hazard-certified\n"
            "            plans as plain vectorized loops; uncertified plans\n"
            "            fall back to the simulator (docs/backends.md)\n"
            "  --verify  check every table against the serial CPU oracle\n"
@@ -511,20 +542,31 @@ int main(int argc, char** argv)
                 std::exit(usage(2));
             return argv[++i];
         };
+        // Numeric flags: the whole argument must parse, with no sign, and
+        // be at least `min`; anything else is a usage error.
+        const auto number = [&]<typename T>(T min) -> T {
+            const std::string_view s = next();
+            T v{};
+            const auto [ptr, ec] =
+                std::from_chars(s.data(), s.data() + s.size(), v);
+            if (ec != std::errc{} || ptr != s.data() + s.size() ||
+                !std::isfinite(static_cast<double>(v)) || v < min)
+                std::exit(usage(2));
+            return v;
+        };
+        constexpr double kPositive = std::numeric_limits<double>::min();
         if (arg == "--qps")
-            qps = std::strtod(next(), nullptr);
+            qps = number(kPositive);
         else if (arg == "--duration")
-            duration_s = std::strtod(next(), nullptr);
+            duration_s = number(kPositive);
         else if (arg == "--workers")
-            sopt.workers = static_cast<int>(std::strtol(next(), nullptr, 10));
+            sopt.workers = number(1);
         else if (arg == "--wave")
-            sopt.max_wave = static_cast<int>(std::strtol(next(), nullptr, 10));
+            sopt.max_wave = number(1);
         else if (arg == "--linger-us")
-            sopt.max_linger =
-                std::chrono::microseconds(std::strtol(next(), nullptr, 10));
+            sopt.max_linger = std::chrono::microseconds(number(0L));
         else if (arg == "--queue")
-            sopt.max_queue =
-                static_cast<std::size_t>(std::strtoul(next(), nullptr, 10));
+            sopt.max_queue = number(std::size_t{1});
         else if (arg == "--policy") {
             const std::string_view p = next();
             if (p == "block")
@@ -543,14 +585,12 @@ int main(int argc, char** argv)
                 backend = sat::Backend::kSim;
             else if (b == "native")
                 backend = sat::Backend::kNative;
-            else if (b == "auto")
-                backend = sat::Backend::kAuto;
             else
                 return usage(2);
         } else if (arg == "--metrics-out")
             obs.metrics_out = next();
         else if (arg == "--metrics-every")
-            obs.metrics_every_ms = std::strtol(next(), nullptr, 10);
+            obs.metrics_every_ms = number(1L);
         else if (arg == "--trace-out")
             obs.trace_out = next();
         else if (arg == "--events-out")
@@ -597,6 +637,7 @@ int main(int argc, char** argv)
         if (backend != sat::Backend::kSim)
             for (const auto& p : load.plans)
                 std::cout << "  plan " << p.label << ": "
+                          << sat::to_string(p.algorithm) << " on "
                           << sat::to_string(p.backend)
                           << (p.certified ? " (certified)" : "") << "\n";
         if (obs.any())
