@@ -888,7 +888,7 @@ compute_query_fused(simt::Engine& eng, const Matrix<Tin>& image,
     }
 
     QueryResult<Tout> res;
-    simt::DeviceBuffer<Tout> out(out_h * w);
+    auto out = simt::DeviceBuffer<Tout>::zeroed(eng.executor(), out_h * w);
 
     struct Staged {
         simt::BufferPool::Lease<Tin> in;
@@ -1031,7 +1031,8 @@ compute_query_materialized(simt::Engine& eng, const Matrix<Tin>& image,
         static_assert(std::is_same_v<Tout, u32>);
         SATGPU_EXPECTS(spec.bins > 0 && 256 % spec.bins == 0);
         const std::int64_t bin_width = 256 / spec.bins;
-        simt::DeviceBuffer<Tout> out(std::int64_t{spec.bins} * h * w);
+        auto out = simt::DeviceBuffer<Tout>::zeroed(
+            eng.executor(), std::int64_t{spec.bins} * h * w);
         auto img = simt::acquire_or_new<Tin>(opt.pool, h * w,
                                              opt.pool_partition);
         std::copy(image.flat().begin(), image.flat().end(),
@@ -1052,7 +1053,7 @@ compute_query_materialized(simt::Engine& eng, const Matrix<Tin>& image,
         res.out =
             std::move(out).release_matrix(std::int64_t{spec.bins} * h, w);
     } else {
-        simt::DeviceBuffer<Tout> out(h * w);
+        auto out = simt::DeviceBuffer<Tout>::zeroed(eng.executor(), h * w);
         auto sat = compute_sat<Tsat>(eng, image, opt);
         res.launches = std::move(sat.launches);
         simt::BufferPool::Lease<Tin> img;

@@ -221,19 +221,22 @@ struct ScratchSet {
     }
 };
 
-/// A wave's result tables: K fresh, value-initialized device buffers
-/// (never pooled) that the last pass writes and that then become the
-/// returned tables without a copy, so a returned table never aliases
-/// memory a later call reuses.
+/// A wave's result tables: K fresh device buffers (never pooled) that the
+/// last pass writes and that then become the returned tables without a
+/// copy, so a returned table never aliases memory a later call reuses.
+/// Each is value-initialized by DeviceBuffer::zeroed: a table of 32 MiB or
+/// more sits on huge pages and is zero-filled across the engine's
+/// executor slots.
 template <typename Tout>
 struct ResultSet {
     std::vector<simt::DeviceBuffer<Tout>> bufs;
 
-    ResultSet(std::size_t k, std::int64_t count)
+    ResultSet(simt::Engine& eng, std::size_t k, std::int64_t count)
     {
         bufs.reserve(k);
         for (std::size_t i = 0; i < k; ++i)
-            bufs.emplace_back(count);
+            bufs.push_back(
+                simt::DeviceBuffer<Tout>::zeroed(eng.executor(), count));
     }
 
     [[nodiscard]] std::vector<simt::DeviceBuffer<Tout>*> outs()
@@ -308,7 +311,7 @@ compute_sat_wave(simt::Engine& eng,
     const auto scratch = [&](std::int64_t count) {
         return detail::ScratchSet<Tout>(opt, k, count);
     };
-    detail::ResultSet<Tout> out(k, h * w);
+    detail::ResultSet<Tout> out(eng, k, h * w);
     SatWaveResult<Tout> res;
 
     switch (opt.algorithm) {

@@ -203,7 +203,8 @@ template <typename Tout, typename Tin>
     const simt::CheckScope check_scope(eng, opt.check);
     const simt::ProfileEnableScope profile_scope(eng, opt.profile);
     SatResult<Tout> res;
-    res.table = Matrix<Tout>(h, w);
+    res.table = simt::DeviceBuffer<Tout>::zeroed(eng.executor(), h * w)
+                    .release_matrix(h, w);
 
     // Per-tile boundary aggregates of the local SATs, harvested in phase
     // 1: last column (the tile's row sums), last row (column sums), and

@@ -10,9 +10,11 @@
 #include "core/check.hpp"
 #include "core/matrix.hpp"
 #include "simt/access_analysis.hpp"
+#include "simt/block_executor.hpp"
 #include "simt/lane_vec.hpp"
 #include "simt/profiler.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <source_location>
@@ -34,8 +36,40 @@ public:
 
     [[nodiscard]] static DeviceBuffer from_matrix(const Matrix<T>& m)
     {
-        DeviceBuffer b(m.size());
-        std::copy(m.flat().begin(), m.flat().end(), b.data_.begin());
+        DeviceBuffer b;
+        b.data_ = table_copy(m.flat());
+        return b;
+    }
+
+    /// A value-initialized buffer of `count` elements, like
+    /// DeviceBuffer(count), for a fresh result table.  At or above
+    /// kFreshMappingBytes the storage is allocated without being written
+    /// and each of `ex`'s slots then zero-fills one contiguous slice, so
+    /// the table's page faults are taken on every worker (and on huge
+    /// pages) instead of serially on the caller.  Not a launch: it records
+    /// no LaunchStats and no counters, and must not be called from inside
+    /// one of `ex`'s jobs.
+    [[nodiscard]] static DeviceBuffer zeroed(BlockExecutor& ex,
+                                             std::int64_t count)
+    {
+        SATGPU_EXPECTS(count >= 0);
+        const auto n = static_cast<std::size_t>(count);
+        if (!TableAllocator<T>::fresh_mapping(n))
+            return DeviceBuffer(count);
+        static_assert(kHugePageBytes % sizeof(T) == 0);
+        constexpr std::size_t kPage = kHugePageBytes / sizeof(T);
+        DeviceBuffer b;
+        b.data_.resize(n); // default-initializes: nothing is written yet
+        // Whole huge pages per slot, so no page is faulted by two slots.
+        const auto k = static_cast<std::size_t>(ex.size());
+        const std::size_t pages = (n + kPage - 1) / kPage;
+        const std::size_t slice = (pages + k - 1) / k * kPage;
+        T* const p = b.data_.data();
+        ex.run(ex.size(), [&](int i) {
+            const std::size_t lo =
+                std::min(n, static_cast<std::size_t>(i) * slice);
+            std::fill(p + lo, p + std::min(n, lo + slice), T{});
+        });
         return b;
     }
 
@@ -52,9 +86,7 @@ public:
                                       std::int64_t width) const
     {
         SATGPU_EXPECTS(height * width == size());
-        Matrix<T> m(height, width);
-        std::copy(data_.begin(), data_.end(), m.flat().begin());
-        return m;
+        return Matrix<T>(height, width, table_copy(host()));
     }
 
     /// Hand the storage over as a height x width host matrix without
@@ -402,7 +434,7 @@ private:
                      "launch stored to the same element");
     }
 
-    std::vector<T> data_;
+    TableStorage<T> data_;
     std::shared_ptr<std::atomic<std::uint64_t>[]> overlap_;
 };
 

@@ -755,6 +755,46 @@ TEST(ResultOwnership, EarlierQueryOutputsSurviveLaterExecutes)
     }
 }
 
+TEST(ResultOwnership, LargeTablesSurviveLaterExecutes)
+{
+    // 4096 x 2304 32-bit outputs are 36 MiB, above kFreshMappingBytes: the
+    // tables live on huge-page storage zero-filled across executor slots.
+    constexpr std::int64_t kBigH = 4096;
+    constexpr std::int64_t kBigW = 2304;
+    static_assert(static_cast<std::size_t>(kBigH * kBigW) * 4 >=
+                  satgpu::kFreshMappingBytes);
+    sat::Runtime rt({.record_history = false, .num_threads = 4});
+    const DtypePair dt{Dtype::u8_, Dtype::u32_};
+    const auto a = sat::AnyMatrix::random(dt.in, kBigH, kBigW, /*seed=*/5);
+    const auto b = sat::AnyMatrix::random(dt.in, kBigH, kBigW, /*seed=*/6);
+    const sat::QuerySpec box{sat::BoxFilterSpec{4}};
+    const sat::PlanRequest req{.height = kBigH,
+                               .width = kBigW,
+                               .dtypes = dt,
+                               .algorithm = sat::Algorithm::kBrltScanRow,
+                               .backend = sat::Backend::kNative};
+    sat::PlanRequest qreq = req;
+    qreq.query = box;
+    qreq.query_mode = sat::QueryMode::kFused;
+    const auto plan = rt.plan(req);
+    const auto qplan = rt.plan_query(qreq);
+    ASSERT_EQ(plan.backend(), sat::Backend::kNative);
+    ASSERT_EQ(qplan.backend(), sat::Backend::kNative);
+    ASSERT_TRUE(qplan.query_fused());
+
+    const auto r1 = plan.execute(a);
+    const auto r2 = plan.execute(b);
+    EXPECT_TRUE(r1.table == rt.reference(a, dt.out)) << "SAT, first";
+    EXPECT_TRUE(r2.table == rt.reference(b, dt.out)) << "SAT, second";
+
+    const auto q1 = qplan.execute(a);
+    const auto q2 = qplan.execute(b);
+    EXPECT_TRUE(q1.table == rt.query_reference(a, dt.out, box))
+        << "box, first";
+    EXPECT_TRUE(q2.table == rt.query_reference(b, dt.out, box))
+        << "box, second";
+}
+
 TEST(ResultOwnership, WindowTableSurvivesLaterPushes)
 {
     using satgpu::u32;

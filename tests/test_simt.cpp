@@ -1,7 +1,11 @@
 // Unit tests for the SIMT simulator substrate: lane vectors, shuffle
 // semantics (checked against the CUDA __shfl_*_sync definitions), bank
-// conflict and coalescing analysis, and the coroutine block scheduler.
+// conflict and coalescing analysis, the coroutine block scheduler, and the
+// table storage behind Matrix and DeviceBuffer.
+#include "core/dtype.hpp"
+#include "core/random_fill.hpp"
 #include "simt/access_analysis.hpp"
+#include "simt/block_executor.hpp"
 #include "simt/engine.hpp"
 #include "simt/global_memory.hpp"
 #include "simt/lane_vec.hpp"
@@ -10,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <numeric>
 
 namespace simt = satgpu::simt;
@@ -602,4 +608,99 @@ TEST(Engine, HistoryRecordsLaunches)
     EXPECT_EQ(eng.history()[0].info.name, "k1");
     EXPECT_EQ(eng.history()[0].config.total_blocks(), 6);
     EXPECT_EQ(eng.history()[0].config.warps_per_block(), 2);
+}
+
+// ----------------------------------------------------------- TableStorage --
+
+namespace {
+
+/// Element counts just below and just above the huge-page threshold.
+template <typename T>
+constexpr std::int64_t kBelow =
+    static_cast<std::int64_t>(satgpu::kFreshMappingBytes / sizeof(T)) - 1;
+template <typename T>
+constexpr std::int64_t kAbove = kBelow<T> + 2;
+
+template <typename T>
+bool all_equal(std::span<const T> v, T want)
+{
+    return std::all_of(v.begin(), v.end(),
+                       [&](T x) { return x == want; });
+}
+
+template <typename T>
+bool huge_page_aligned(const T* p)
+{
+    return reinterpret_cast<std::uintptr_t>(p) % satgpu::kHugePageBytes == 0;
+}
+
+template <typename T>
+void expect_zeroed_around_threshold()
+{
+    // One slot fills on the caller; three slots split the large buffer
+    // into uneven huge-page slices.
+    for (const int slots : {1, 3}) {
+        simt::BlockExecutor ex(slots, 1024);
+        for (const std::int64_t n : {kBelow<T>, kAbove<T>}) {
+            const auto buf = simt::DeviceBuffer<T>::zeroed(ex, n);
+            ASSERT_EQ(buf.size(), n);
+            EXPECT_TRUE(all_equal<T>(buf.host(), T{}))
+                << n << " elements, " << slots << " slots";
+        }
+    }
+}
+
+} // namespace
+
+TEST(TableStorage, ZeroedIsValueInitializedAroundTheThreshold)
+{
+    expect_zeroed_around_threshold<satgpu::u32>();
+    expect_zeroed_around_threshold<satgpu::f32>();
+}
+
+TEST(TableStorage, LargeBuffersAreHugePageAligned)
+{
+    simt::BlockExecutor ex(2, 1024);
+    const auto zeroed =
+        simt::DeviceBuffer<satgpu::u32>::zeroed(ex, kAbove<satgpu::u32>);
+    EXPECT_TRUE(huge_page_aligned(zeroed.host().data()));
+    const satgpu::Matrix<satgpu::f32> m(1, kAbove<satgpu::f32>);
+    EXPECT_TRUE(huge_page_aligned(m.flat().data()));
+}
+
+TEST(TableStorage, MatrixConstructorFillsOnBothPaths)
+{
+    using satgpu::u32;
+    for (const std::int64_t n : {kBelow<u32>, kAbove<u32>}) {
+        const satgpu::Matrix<u32> m(1, n, 7u);
+        EXPECT_TRUE(all_equal<u32>(m.flat(), 7u)) << n;
+        const simt::DeviceBuffer<u32> b(n, 9u);
+        EXPECT_TRUE(all_equal<u32>(b.host(), 9u)) << n;
+    }
+}
+
+TEST(TableStorage, ReleaseAndAdoptHandOverTheSameStorage)
+{
+    using satgpu::u32;
+    simt::BlockExecutor ex(2, 1024);
+    auto buf = simt::DeviceBuffer<u32>::zeroed(ex, kAbove<u32>);
+    const u32* const p = buf.host().data();
+    auto m = std::move(buf).release_matrix(1, kAbove<u32>);
+    EXPECT_EQ(m.flat().data(), p);
+    EXPECT_EQ(buf.size(), 0);
+    const auto back = simt::DeviceBuffer<u32>::adopt(std::move(m));
+    EXPECT_EQ(back.host().data(), p);
+    EXPECT_TRUE(m.empty());
+}
+
+TEST(TableStorage, LargeCopiesCompareEqual)
+{
+    using satgpu::u32;
+    satgpu::Matrix<u32> m(2, kAbove<u32> / 2 + 1);
+    satgpu::fill_random(m, /*seed=*/11);
+    const satgpu::Matrix<u32> copy = m;
+    EXPECT_NE(copy.flat().data(), m.flat().data());
+    EXPECT_TRUE(copy == m);
+    const auto buf = simt::DeviceBuffer<u32>::from_matrix(m);
+    EXPECT_TRUE(buf.to_matrix(m.height(), m.width()) == m);
 }
