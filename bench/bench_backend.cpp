@@ -14,26 +14,58 @@
 // Every native table is also demanded bit-identical to the simulator's --
 // the certification contract (docs/backends.md) made visible in the bench.
 //
-// Each cell also times the same-host baseline sat_serial (paper Alg. 1,
-// best of two) and reports native / sat_serial: the ratio the native path
-// is judged by on this host, where < 1 means native beats one core's
-// plain loop.  Reported, not gated.
+// Each cell also times the same-host baseline sat_serial (paper Alg. 1)
+// and reports native / sat_serial: the ratio the native path is judged by
+// on this host, where < 1 means native beats one core's plain loop.
+// Reported, not gated.
+//
+// Native and sat_serial times are the median of kRuns timed runs after
+// one warm-up run, reported with their min/max spread; the speedup (and
+// its gate) uses the native median.  The simulator is timed once per
+// cell: it is the slow side, so its noise cannot flip the gate.
 #include "bench_common.hpp"
 #include "core/random_fill.hpp"
 #include "sat/cpu_reference.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <vector>
 
 namespace {
 
 using namespace satgpu;
 using Clock = std::chrono::steady_clock;
 
+/// Timed repeats per native / sat_serial cell (after one warm-up run).
+constexpr int kRuns = 5;
+
 double wall_us_since(Clock::time_point t0)
 {
     return std::chrono::duration<double, std::micro>(Clock::now() - t0)
         .count();
+}
+
+/// Median and range of a cell's timed runs.
+struct Spread {
+    double median_us = 0, min_us = 0, max_us = 0;
+};
+
+/// Run `f` once to warm up, then kRuns timed times; `check` sees every
+/// result, outside the timed region.
+template <typename F, typename Check>
+Spread time_runs(F&& f, Check&& check)
+{
+    check(f());
+    std::vector<double> us;
+    for (int rep = 0; rep < kRuns; ++rep) {
+        const auto t0 = Clock::now();
+        const auto result = f();
+        us.push_back(wall_us_since(t0));
+        check(result);
+    }
+    std::sort(us.begin(), us.end());
+    return {us[us.size() / 2], us.front(), us.back()};
 }
 
 } // namespace
@@ -55,10 +87,10 @@ int main(int argc, char** argv)
         std::int64_t n;
         bool certified;
         double sim_us;
-        double native_us;
-        double speedup;
-        double serial_us;
-        double over_serial; // native_us / serial_us
+        Spread native;
+        double speedup; // sim_us / native median
+        Spread serial;
+        double over_serial; // native median / serial median
     };
     std::vector<Row> rows;
     double min_speedup = 1e300;
@@ -73,13 +105,11 @@ int main(int argc, char** argv)
                              static_cast<int>(std::clamp<std::int64_t>(
                                  cap, 1, 15)));
 
-            double serial_us = 1e300;
-            for (int rep = 0; rep < 2; ++rep) {
-                const auto t_ser = Clock::now();
-                const auto ref = sat::sat_serial<f32>(img);
-                serial_us = std::min(serial_us, wall_us_since(t_ser));
-                SATGPU_CHECK(ref.height() == n, "sat_serial shape");
-            }
+            const Spread serial = time_runs(
+                [&] { return sat::sat_serial<f32>(img); },
+                [&](const Matrix<f32>& ref) {
+                    SATGPU_CHECK(ref.height() == n, "sat_serial shape");
+                });
             const sat::AnyMatrix image{std::move(img)};
 
             const auto sim_plan = rt.plan({.height = n,
@@ -99,27 +129,19 @@ int main(int argc, char** argv)
             const auto sim_res = sim_plan.execute(image);
             const double sim_us = wall_us_since(t_sim);
 
-            // Native runs are short enough for scheduler noise to matter on
-            // the speedup ratio; take the best of two (deterministic work,
-            // so the faster run is the truer cost).
-            const auto t_nat = Clock::now();
-            const auto nat_res = nat_plan.execute(image);
-            double native_us = wall_us_since(t_nat);
+            const Spread native = time_runs(
+                [&] { return nat_plan.execute(image); },
+                [&](const sat::RuntimeResult& r) {
+                    SATGPU_CHECK(r.table == sim_res.table,
+                                 "native table differs from the simulator's");
+                });
 
-            const auto t_nat2 = Clock::now();
-            const auto nat_res2 = nat_plan.execute(image);
-            native_us = std::min(native_us, wall_us_since(t_nat2));
-
-            SATGPU_CHECK(nat_res.table == sim_res.table,
-                         "native table differs from the simulator's");
-            SATGPU_CHECK(nat_res2.table == sim_res.table,
-                         "native re-run differs from the simulator's");
-
-            const double speedup = native_us > 0 ? sim_us / native_us : 0;
+            const double speedup =
+                native.median_us > 0 ? sim_us / native.median_us : 0;
             min_speedup = std::min(min_speedup, speedup);
-            rows.push_back({algo, n, nat_plan.certified(), sim_us,
-                            native_us, speedup, serial_us,
-                            native_us / serial_us});
+            rows.push_back({algo, n, nat_plan.certified(), sim_us, native,
+                            speedup, serial,
+                            native.median_us / serial.median_us});
         }
     }
 
@@ -130,6 +152,8 @@ int main(int argc, char** argv)
         w.value(std::string_view{"32f32f"});
         w.key("unit");
         w.value(std::string_view{"us"});
+        w.key("runs");
+        w.value(static_cast<std::int64_t>(kRuns));
         w.key("rows");
         w.begin_array();
         for (const auto& r : rows) {
@@ -143,11 +167,19 @@ int main(int argc, char** argv)
             w.key("sim_wall_us");
             w.value(r.sim_us);
             w.key("native_wall_us");
-            w.value(r.native_us);
+            w.value(r.native.median_us);
+            w.key("native_min_us");
+            w.value(r.native.min_us);
+            w.key("native_max_us");
+            w.value(r.native.max_us);
             w.key("speedup");
             w.value(r.speedup);
             w.key("serial_wall_us");
-            w.value(r.serial_us);
+            w.value(r.serial.median_us);
+            w.key("serial_min_us");
+            w.value(r.serial.min_us);
+            w.key("serial_max_us");
+            w.value(r.serial.max_us);
             w.key("native_over_serial");
             w.value(r.over_serial);
             w.end_object();
@@ -159,7 +191,13 @@ int main(int argc, char** argv)
         std::cout << '\n';
     } else {
         std::cout << "Backend wall clock: simulator vs native vs sat_serial, "
-                     "32f32f (best of two native and serial runs)\n\n";
+                     "32f32f (native and serial: median [min-max] of "
+                  << kRuns << " runs)\n\n";
+        const auto spread = [](const Spread& x) {
+            return TablePrinter::fmt(x.median_us, 0) + " [" +
+                   TablePrinter::fmt(x.min_us, 0) + "-" +
+                   TablePrinter::fmt(x.max_us, 0) + "]";
+        };
         TablePrinter t({"algorithm", "size", "certified", "sim (us)",
                         "native (us)", "speedup", "serial (us)",
                         "native/serial"});
@@ -167,10 +205,8 @@ int main(int argc, char** argv)
             t.add_row({std::string(sat::to_string(r.algo)),
                        std::to_string(r.n / 1024) + "k",
                        r.certified ? "yes" : "no",
-                       TablePrinter::fmt(r.sim_us, 0),
-                       TablePrinter::fmt(r.native_us, 0),
-                       TablePrinter::fmt(r.speedup, 2),
-                       TablePrinter::fmt(r.serial_us, 0),
+                       TablePrinter::fmt(r.sim_us, 0), spread(r.native),
+                       TablePrinter::fmt(r.speedup, 2), spread(r.serial),
                        TablePrinter::fmt(r.over_serial, 2)});
         t.print(std::cout);
         std::cout << "\nmin speedup: " << TablePrinter::fmt(min_speedup, 2)

@@ -60,10 +60,10 @@ void brlt_transpose_round(W& w, RegTile<T>& data, bool padded,
     // Store rows: sMem[k][j][laneId] = data[j]  (Alg. 5 line 8).
     for (int j = 0; j < kWarpSize; ++j)
         sm.store_row(base + j * stride, data[static_cast<std::size_t>(j)]);
-    // Load columns: data[j] = sMem[k][laneId][j]  (Alg. 5 line 12).
+    // Load columns: data[j] = sMem[k][laneId][j]  (Alg. 5 line 12), as
+    // one tile-shaped read (32 strided loads when instrumented).
     // No barrier in between: only this warp touches tile k.
-    for (int j = 0; j < kWarpSize; ++j)
-        data[static_cast<std::size_t>(j)] = sm.load_strided(base + j, stride);
+    sm.load_transposed(base, stride, data);
 }
 
 /// Alg. 5: transpose the warp's register matrix in place (the simulator

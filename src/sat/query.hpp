@@ -254,8 +254,7 @@ void tile_sat_slab_load(W& w, const TileSatJob<Tsat, Tin>& job,
     const LaneMask cols = cols_in_range(col0, job.w);
     if (cols != 0) {
         load_tile_rows(*job.in, job.h, job.w, row0, col0, regs);
-        for (auto& reg : regs)
-            reg = scan::warp_inclusive_scan(kind, reg);
+        scan::warp_inclusive_scan_tile(kind, regs);
     } else {
         regs = RegTile<Tsat>{};
     }

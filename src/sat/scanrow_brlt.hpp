@@ -60,16 +60,12 @@ void apply_row_offsets(RegTile<T>& data, const LaneVec<T>& exclusive,
         simt::current_hazard_checker() == nullptr) {
         // Uninstrumented lowering: each row adds the scalar offsets[j]
         // (what the broadcast shuffle below distributes) to all lanes.
+        const auto offsets = exclusive + run_carry;
         for (int j = 0; j < kWarpSize; ++j) {
-            const T off = simt::detail::wrapping_add(exclusive.get(j),
-                                                     run_carry.get(j));
             auto& row = data[static_cast<std::size_t>(j)];
-            for (int l = 0; l < kWarpSize; ++l)
-                row.set(l, simt::detail::wrapping_add(row.get(l), off));
+            row = row + LaneVec<T>::broadcast(offsets.get(j));
         }
-        for (int l = 0; l < kWarpSize; ++l)
-            run_carry.set(l, simt::detail::wrapping_add(
-                                 run_carry.get(l), block_total.get(l)));
+        run_carry = run_carry + block_total;
         return;
     }
     const auto offsets = simt::vadd(exclusive, run_carry);
@@ -109,8 +105,7 @@ simt::KernelTask scanrow_brlt_warp(simt::WarpCtx& w,
             // Parallel warp scan of each register row (32 independent
             // scans).
             const simt::ProfileRange pr{"scan-row"};
-            for (auto& reg : data)
-                reg = scan::warp_inclusive_scan(kind, reg);
+            scan::warp_inclusive_scan_tile(kind, data);
         }
 
         // Gather the 32 row totals into one lane vector (lane j <- row j).
@@ -164,8 +159,7 @@ void scanrow_brlt_block_native(simt::NativeBlockCtx& blk,
         for (int wid = 0; wid < wc; ++wid)
             load_tile_rows(in, height, width, row0, col0(wid), at(data, wid));
         for (int wid = 0; wid < wc; ++wid)
-            for (auto& reg : at(data, wid))
-                reg = scan::warp_inclusive_scan(kind, reg);
+            scan::warp_inclusive_scan_tile(kind, at(data, wid));
         for (int wid = 0; wid < wc; ++wid)
             at(totals, wid) = reduce_row_totals(at(data, wid));
         block_exclusive_carry_block_native<Tout>(blk, totals, exclusive,

@@ -58,9 +58,9 @@ void scanrow_warp_body(W& w, const simt::DeviceBuffer<Tsrc>& in,
         {
             // Fig. 4: scan each group, chain the last lane's total forward.
             const simt::ProfileRange pr{"scan-row"};
+            scan::warp_inclusive_scan_tile(kind, data, groups);
             for (int j = 0; j < groups; ++j) {
                 auto& reg = data[static_cast<std::size_t>(j)];
-                reg = scan::warp_inclusive_scan(kind, reg);
                 reg = simt::vadd(reg, carry);
                 carry = simt::shfl(reg, kWarpSize - 1);
             }

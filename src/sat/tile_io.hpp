@@ -19,7 +19,7 @@ using simt::LaneVec;
 /// The per-warp register matrix: data[j] holds one 32-lane row (Alg. 5
 /// line 1's "T data[32]" seen warp-wide).
 template <typename T>
-using RegTile = std::array<LaneVec<T>, kWarpSize>;
+using RegTile = simt::LaneTile<T>;
 
 /// One LaneVec per warp of a block: a native block program's hoisted
 /// per-warp scalar state (running carries, partial sums), on the stack.

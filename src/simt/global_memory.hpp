@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <memory>
 #include <source_location>
 #include <span>
@@ -225,28 +226,15 @@ public:
                                       std::source_location site = SATGPU_SITE)
         const
     {
-        if (current_counters() == nullptr) {
-            LaneVec<T> r{};
-            if (active == kFullMask) {
-                SATGPU_CHECK(base >= 0 && base + kWarpSize <= size(),
-                             "gmem load out of bounds");
-                const T* const p = data_.data() + base;
-                for (int l = 0; l < kWarpSize; ++l)
-                    r.set(l, p[l]);
-                return r;
-            }
-            for (int l = 0; l < kWarpSize; ++l) {
-                if (!lane_active(active, l))
-                    continue;
-                const std::int64_t i = base + l;
-                SATGPU_CHECK(i >= 0 && i < size(),
-                             "gmem load out of bounds");
-                r.set(l, data_[static_cast<std::size_t>(i)]);
-            }
+        if (active == kFullMask && current_counters() == nullptr) {
+            SATGPU_CHECK(base >= 0 && base + kWarpSize <= size(),
+                         "gmem load out of bounds");
+            LaneVec<T> r;
+            std::memcpy(static_cast<void*>(&r), data_.data() + base,
+                        sizeof(r));
             return r;
         }
-        return load(LaneVec<std::int64_t>::lane_index() + base, active,
-                    site);
+        return load_row_lanes(base, active, site);
     }
 
     /// Warp-wide CONTIGUOUS store: lane l writes val[l] to element base + l
@@ -255,27 +243,14 @@ public:
                    LaneMask active = kFullMask,
                    std::source_location site = SATGPU_SITE)
     {
-        if (current_counters() == nullptr) {
-            if (active == kFullMask && !overlap_) {
-                SATGPU_CHECK(base >= 0 && base + kWarpSize <= size(),
-                             "gmem store out of bounds");
-                T* const p = data_.data() + base;
-                for (int l = 0; l < kWarpSize; ++l)
-                    p[l] = val.get(l);
-                return;
-            }
-            for (int l = 0; l < kWarpSize; ++l) {
-                if (!lane_active(active, l))
-                    continue;
-                const std::int64_t i = base + l;
-                SATGPU_CHECK(i >= 0 && i < size(),
-                             "gmem store out of bounds");
-                record_write(i);
-                data_[static_cast<std::size_t>(i)] = val.get(l);
-            }
+        if (active == kFullMask && current_counters() == nullptr &&
+            !overlap_) {
+            SATGPU_CHECK(base >= 0 && base + kWarpSize <= size(),
+                         "gmem store out of bounds");
+            std::memcpy(data_.data() + base, &val, sizeof(val));
             return;
         }
-        store(LaneVec<std::int64_t>::lane_index() + base, val, active, site);
+        store_row_lanes(base, val, active, site);
     }
 
     /// Copy the CONTIGUOUS segment [base, base + dst.size()) into `dst`.
@@ -411,6 +386,47 @@ public:
     }
 
 private:
+    /// load_row off its straight-copy path (kept out of line so the copy
+    /// inlines): a masked per-lane copy natively, the accounted gather
+    /// when instrumented.
+    [[nodiscard]] LaneVec<T> load_row_lanes(std::int64_t base,
+                                            LaneMask active,
+                                            std::source_location site) const
+    {
+        if (current_counters() != nullptr)
+            return load(LaneVec<std::int64_t>::lane_index() + base, active,
+                        site);
+        LaneVec<T> r{};
+        for (int l = 0; l < kWarpSize; ++l) {
+            if (!lane_active(active, l))
+                continue;
+            const std::int64_t i = base + l;
+            SATGPU_CHECK(i >= 0 && i < size(), "gmem load out of bounds");
+            r.set(l, data_[static_cast<std::size_t>(i)]);
+        }
+        return r;
+    }
+
+    /// store_row off its straight-copy path (see load_row_lanes); also
+    /// the path that feeds the overlap detector.
+    void store_row_lanes(std::int64_t base, const LaneVec<T>& val,
+                         LaneMask active, std::source_location site)
+    {
+        if (current_counters() != nullptr) {
+            store(LaneVec<std::int64_t>::lane_index() + base, val, active,
+                  site);
+            return;
+        }
+        for (int l = 0; l < kWarpSize; ++l) {
+            if (!lane_active(active, l))
+                continue;
+            const std::int64_t i = base + l;
+            SATGPU_CHECK(i >= 0 && i < size(), "gmem store out of bounds");
+            record_write(i);
+            data_[static_cast<std::size_t>(i)] = val.get(l);
+        }
+    }
+
     /// Overlap-detector bookkeeping: tag each element with (launch epoch,
     /// writer block).  Stale epochs read as "untouched", so no per-launch
     /// reset pass is needed.  Packing: epoch in the high 40 bits, writer

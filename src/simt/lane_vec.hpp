@@ -12,11 +12,16 @@
 // current PerfCounters sink.  Ordinary operators (+, *, %, ...) are provided
 // for ADDRESS/INDEX computation and are deliberately uncounted, matching the
 // paper's model which counts only the scan data path.
+//
+// Lane arithmetic, comparisons and casts run as whole-vector operations
+// (simt/simd.hpp) in every lowering: the instrumented and native paths
+// share them, and only the counting differs.
 #pragma once
 
 #include "core/check.hpp"
 #include "simt/dim3.hpp"
 #include "simt/perf_counters.hpp"
+#include "simt/simd.hpp"
 
 #include <array>
 #include <bit>
@@ -101,27 +106,33 @@ public:
         v_[static_cast<std::size_t>(lane)] = v;
     }
 
+    /// Lane-wise static_cast<U>, as one vector conversion.
     template <typename U>
     [[nodiscard]] LaneVec<U> cast() const
     {
-        LaneVec<U> r;
-        for (int l = 0; l < kWarpSize; ++l)
-            r.set(l, static_cast<U>(get(l)));
-        return r;
+        return __builtin_bit_cast(LaneVec<U>, __builtin_convertvector(
+            __builtin_bit_cast(simd::Vec<T>, *this), simd::Vec<U>));
     }
 
     // ---- Uncounted index/address arithmetic -------------------------------
+    // Integer lanes wrap (they compute in the unsigned type).
     friend LaneVec operator+(const LaneVec& a, const LaneVec& b)
     {
-        return zip(a, b, [](T x, T y) { return static_cast<T>(x + y); });
+        using V = simd::ArithVec<T>;
+        return __builtin_bit_cast(LaneVec, __builtin_bit_cast(V, a) +
+                                               __builtin_bit_cast(V, b));
     }
     friend LaneVec operator-(const LaneVec& a, const LaneVec& b)
     {
-        return zip(a, b, [](T x, T y) { return static_cast<T>(x - y); });
+        using V = simd::ArithVec<T>;
+        return __builtin_bit_cast(LaneVec, __builtin_bit_cast(V, a) -
+                                               __builtin_bit_cast(V, b));
     }
     friend LaneVec operator*(const LaneVec& a, const LaneVec& b)
     {
-        return zip(a, b, [](T x, T y) { return static_cast<T>(x * y); });
+        using V = simd::ArithVec<T>;
+        return __builtin_bit_cast(LaneVec, __builtin_bit_cast(V, a) *
+                                               __builtin_bit_cast(V, b));
     }
     friend LaneVec operator+(const LaneVec& a, T s)
     {
@@ -143,17 +154,17 @@ public:
     // ---- Lane-wise comparisons to masks -----------------------------------
     [[nodiscard]] friend LaneMask operator<(const LaneVec& a, const LaneVec& b)
     {
-        return cmp(a, b, [](T x, T y) { return x < y; });
+        return simd::compare<simd::Cmp::kLess, T>(a, b);
     }
     [[nodiscard]] friend LaneMask operator>=(const LaneVec& a,
                                              const LaneVec& b)
     {
-        return cmp(a, b, [](T x, T y) { return x >= y; });
+        return simd::compare<simd::Cmp::kGreaterEqual, T>(a, b);
     }
     [[nodiscard]] friend LaneMask operator==(const LaneVec& a,
                                              const LaneVec& b)
     {
-        return cmp(a, b, [](T x, T y) { return x == y; });
+        return simd::compare<simd::Cmp::kEqual, T>(a, b);
     }
 
     template <typename F>
@@ -166,18 +177,23 @@ public:
     }
 
 private:
-    template <typename F>
-    [[nodiscard]] static LaneMask cmp(const LaneVec& a, const LaneVec& b, F f)
-    {
-        LaneMask m = 0;
-        for (int l = 0; l < kWarpSize; ++l)
-            if (f(a.get(l), b.get(l)))
-                m |= (1u << l);
-        return m;
-    }
-
     std::array<T, kWarpSize> v_{};
 };
+
+/// A warp's 32x32 register matrix (Alg. 5 line 1's "T data[32]").
+template <typename T>
+using LaneTile = std::array<LaneVec<T>, kWarpSize>;
+
+/// Transpose a register matrix in place: afterwards tile[l] lane j holds
+/// what tile[j] lane l held.  Pure data movement, uncounted (the native
+/// lowering's change of layout, not a kernel instruction).
+template <typename T>
+void transpose_lanes(LaneTile<T>& tile) noexcept
+{
+    static_assert(sizeof(LaneTile<T>) == kWarpSize * kWarpSize * sizeof(T));
+    simd::transpose_tile_in_place<T>(
+        reinterpret_cast<std::byte*>(tile.data()));
+}
 
 namespace detail {
 inline void count_adds(std::uint64_t n) noexcept
@@ -201,31 +217,6 @@ inline void count_selects(std::uint64_t n) noexcept
         c->lane_select += n;
 }
 
-/// Add with wrapping semantics for signed ints, so speculative adds on
-/// predicated-off lanes are defined behaviour.
-template <typename T>
-[[nodiscard]] inline T wrapping_add(T x, T y) noexcept
-{
-    if constexpr (std::is_integral_v<T>) {
-        using U = std::make_unsigned_t<T>;
-        return static_cast<T>(static_cast<U>(static_cast<U>(x) +
-                                             static_cast<U>(y)));
-    } else {
-        return static_cast<T>(x + y);
-    }
-}
-/// Subtract with wrapping semantics for signed ints (see wrapping_add).
-template <typename T>
-[[nodiscard]] inline T wrapping_sub(T x, T y) noexcept
-{
-    if constexpr (std::is_integral_v<T>) {
-        using U = std::make_unsigned_t<T>;
-        return static_cast<T>(static_cast<U>(static_cast<U>(x) -
-                                             static_cast<U>(y)));
-    } else {
-        return static_cast<T>(x - y);
-    }
-}
 } // namespace detail
 
 // ---- Counted data-path operations (the paper's accounting) ----------------
@@ -240,29 +231,18 @@ template <typename T>
 
 /// Predicated add: lanes in `m` compute a+b, others keep a.  Counts only
 /// active lanes (the paper's N_add accounting for Algs. 3 and 4).
+/// Branch-free: every lane adds (integer lanes wrap, so the speculative
+/// add on a predicated-off lane is defined), then a bitwise blend keeps a
+/// where the mask bit is clear -- the inner step of every warp scan.
 template <typename T>
 [[nodiscard]] LaneVec<T> vadd_where(LaneMask m, const LaneVec<T>& a,
                                     const LaneVec<T>& b)
 {
     detail::count_adds(static_cast<std::uint64_t>(active_lane_count(m)));
-    if (m == kFullMask) {
-        // All lanes active: no blend needed (the serial register scans hit
-        // this case every step).
-        LaneVec<T> r;
-        for (int l = 0; l < kWarpSize; ++l)
-            r.set(l, detail::wrapping_add(a.get(l), b.get(l)));
-        return r;
-    }
-    // Branch-free: add every lane, then blend by the mask bit.  The
-    // speculative add on a predicated-off lane wraps instead of being UB,
-    // and the loop vectorizes where the per-lane branch would not -- this
-    // is the inner step of every Kogge-Stone warp scan.
-    LaneVec<T> r;
-    for (int l = 0; l < kWarpSize; ++l) {
-        const T s = detail::wrapping_add(a.get(l), b.get(l));
-        r.set(l, ((m >> l) & 1u) != 0 ? s : a.get(l));
-    }
-    return r;
+    const auto s = a + b;
+    // All lanes active: no blend (the serial register scans hit this case
+    // every step).
+    return m == kFullMask ? s : simd::blend(m, s, a);
 }
 
 /// Predicated subtract: lanes in `m` compute a-b, others keep a.  A
@@ -273,12 +253,8 @@ template <typename T>
                                     const LaneVec<T>& b)
 {
     detail::count_adds(static_cast<std::uint64_t>(active_lane_count(m)));
-    LaneVec<T> r;
-    for (int l = 0; l < kWarpSize; ++l) {
-        const T s = detail::wrapping_sub(a.get(l), b.get(l));
-        r.set(l, ((m >> l) & 1u) != 0 ? s : a.get(l));
-    }
-    return r;
+    const auto s = a - b;
+    return m == kFullMask ? s : simd::blend(m, s, a);
 }
 
 template <typename T>
@@ -294,8 +270,9 @@ template <typename T>
     requires std::is_integral_v<T>
 {
     detail::count_bools(kWarpSize);
-    return LaneVec<T>::zip(a, b,
-                           [](T x, T y) { return static_cast<T>(x & y); });
+    using V = simd::ArithVec<T>;
+    return __builtin_bit_cast(LaneVec<T>, __builtin_bit_cast(V, a) &
+                                              __builtin_bit_cast(V, b));
 }
 
 /// Lane-wise select: m ? a : b.
@@ -304,10 +281,7 @@ template <typename T>
                                  const LaneVec<T>& b)
 {
     detail::count_selects(kWarpSize);
-    LaneVec<T> r;
-    for (int l = 0; l < kWarpSize; ++l)
-        r.set(l, lane_active(m, l) ? a.get(l) : b.get(l));
-    return r;
+    return simd::blend(m, a, b);
 }
 
 } // namespace satgpu::simt

@@ -18,7 +18,8 @@
 // per-element shadow state behind the racecheck-style hazard reports.
 // With neither installed, every access is only the bounds-checked data
 // movement, and the row-shaped ops (store_row / load_row / load_strided)
-// reduce a full-mask access to one span check and a straight copy.
+// reduce a full-mask access to one span check and a straight copy
+// (load_transposed: a blocked transpose).
 #pragma once
 
 #include "core/check.hpp"
@@ -30,7 +31,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <source_location>
+#include <span>
 #include <string>
 #include <string_view>
 #include <typeindex>
@@ -257,9 +260,7 @@ public:
         if (active == kFullMask && uninstrumented()) {
             SATGPU_CHECK(first >= 0 && first + kWarpSize <= count_,
                          "smem store out of bounds");
-            T* const p = base() + first;
-            for (int l = 0; l < kWarpSize; ++l)
-                p[l] = val.get(l);
+            std::memcpy(base() + first, &val, sizeof(val));
             return;
         }
         store(LaneVec<std::int64_t>::lane_index() + first, val, active,
@@ -299,6 +300,34 @@ public:
         }
         return load(LaneVec<std::int64_t>::lane_index() * stride + first,
                     active, site);
+    }
+
+    /// Tile-shaped STRIDED load: out[j] = load_strided(first + j, stride)
+    /// for j < 32, i.e. out[j][l] = element first + l * stride + j -- the
+    /// transpose of the 32x32 tile whose rows start `stride` elements
+    /// apart (BRLT's column read, Alg. 5 line 12, for a whole register
+    /// matrix).  Instrumented, it IS those 32 load_strided calls (same
+    /// counters, hazard records and profiler site); uninstrumented, one
+    /// span check and a blocked 4x4 transpose over the same elements.
+    void load_transposed(std::int64_t first, std::int64_t stride,
+                         std::span<LaneVec<T>, kWarpSize> out,
+                         std::source_location site = SATGPU_SITE) const
+        requires simd::Lane<T>
+    {
+        if (stride >= 0 && uninstrumented()) {
+            SATGPU_CHECK(first >= 0 && first + (kWarpSize - 1) * stride +
+                                               kWarpSize - 1 <
+                                           count_,
+                         "smem load out of bounds");
+            static_assert(sizeof(LaneVec<T>) == kWarpSize * sizeof(T));
+            simd::transpose_tile<T>(
+                reinterpret_cast<const std::byte*>(base() + first), stride,
+                reinterpret_cast<std::byte*>(out.data()), kWarpSize);
+            return;
+        }
+        for (int j = 0; j < kWarpSize; ++j)
+            out[static_cast<std::size_t>(j)] =
+                load_strided(first + j, stride, kFullMask, site);
     }
 
 private:

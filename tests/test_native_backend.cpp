@@ -11,6 +11,7 @@
 // by one bit would silently break the certification contract everywhere.
 #include "core/random_fill.hpp"
 #include "sat/broken_kernels.hpp"
+#include "sat/integral_video.hpp"
 #include "sat/runtime.hpp"
 #include "sat/service.hpp"
 #include "scan/warp_scan.hpp"
@@ -22,12 +23,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <source_location>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <type_traits>
+#include <typeinfo>
 #include <vector>
 
 namespace sat = satgpu::sat;
@@ -209,6 +216,305 @@ TEST(NativeLowering, VaddWhereMaskEdgeCases)
                 << "mask " << m << " lane " << l;
         }
     }
+}
+
+// ------------------------------------------ SIMD lowering of lane ops --
+//
+// LaneVec arithmetic, comparisons and casts are whole-vector operations
+// (simt/simd.hpp).  Each is pinned bit for bit against the per-lane
+// definition it replaced and against its instrumented form, on every lane
+// type the kernels use, with full, partial and empty masks, integer wrap
+// points and the float specials (signed zeros, infinities, NaN,
+// subnormals).
+
+namespace {
+
+using satgpu::f32;
+using satgpu::f64;
+using satgpu::i32;
+using satgpu::u32;
+using satgpu::u8;
+using i64 = std::int64_t;
+using u64 = std::uint64_t;
+
+template <typename T>
+[[nodiscard]] simt::simd::Bits<T> bits_of(T v)
+{
+    simt::simd::Bits<T> b{};
+    std::memcpy(&b, &v, sizeof v);
+    return b;
+}
+
+/// Bit-for-bit lane equality: the sign of zero and NaN payloads count.
+/// Lanes in `any_nan` only need to agree on being NaN: there both operands
+/// of a float add/sub/mul were NaN, and which payload propagates depends
+/// on the operand order the compiler picks for a commutative operation
+/// (IEEE 754 leaves it unspecified), in the per-lane form as much as in
+/// the vector one.
+template <typename T>
+void expect_lanes_bits_eq(const LaneVec<T>& got, const LaneVec<T>& want,
+                          const std::string& what, LaneMask any_nan = 0)
+{
+    for (int l = 0; l < kWarpSize; ++l) {
+        if constexpr (std::is_floating_point_v<T>)
+            if (simt::lane_active(any_nan, l)) {
+                EXPECT_TRUE(std::isnan(got.get(l)) && std::isnan(want.get(l)))
+                    << what << " lane " << l;
+                continue;
+            }
+        EXPECT_EQ(bits_of(got.get(l)), bits_of(want.get(l)))
+            << what << " lane " << l;
+    }
+}
+
+/// The lane-by-lane result of `f` -- the scalar definition of an op.
+template <typename T, typename U = T, typename F>
+[[nodiscard]] LaneVec<U> per_lane(const LaneVec<T>& a, const LaneVec<T>& b,
+                                  F f)
+{
+    LaneVec<U> r;
+    for (int l = 0; l < kWarpSize; ++l)
+        r.set(l, f(a.get(l), b.get(l)));
+    return r;
+}
+
+/// Lanes 0..15 hold T's edge values (rotated by `seed`, so two vectors
+/// pair different edges), lanes 16..31 seeded random values: full-range
+/// bits for integers, awkward fractions for floats.
+template <typename T>
+[[nodiscard]] LaneVec<T> edge_vec(std::uint64_t seed)
+{
+    using L = std::numeric_limits<T>;
+    std::vector<T> edges;
+    if constexpr (std::is_integral_v<T>)
+        edges = {T{0},
+                 T{1},
+                 L::max(),
+                 L::min(),
+                 static_cast<T>(L::max() - 1),
+                 static_cast<T>(L::min() + 1),
+                 static_cast<T>(~T{0}),
+                 static_cast<T>(L::max() / 2 + 1)};
+    else
+        edges = {T{0},          -T{0},          L::infinity(),
+                 -L::infinity(), L::quiet_NaN(), -L::quiet_NaN(),
+                 L::denorm_min(), -L::denorm_min(), L::min(),
+                 L::min() / 2,  L::max(),       -L::max(),
+                 T{1},          T{-1}};
+    std::mt19937_64 rng(seed);
+    LaneVec<T> v;
+    for (int l = 0; l < kWarpSize; ++l) {
+        if (l < 16) {
+            v.set(l, edges[(static_cast<std::size_t>(l) + seed) %
+                           edges.size()]);
+        } else if constexpr (std::is_integral_v<T>) {
+            v.set(l, static_cast<T>(rng()));
+        } else {
+            v.set(l, static_cast<T>(
+                         std::uniform_real_distribution<double>(-3, 3)(rng)));
+        }
+    }
+    return v;
+}
+
+/// Integer lanes add, subtract and multiply modulo 2^bits.
+template <typename T>
+[[nodiscard]] T wrap_add(T x, T y)
+{
+    if constexpr (std::is_integral_v<T>) {
+        using U = std::make_unsigned_t<T>;
+        return static_cast<T>(static_cast<U>(static_cast<U>(x) +
+                                             static_cast<U>(y)));
+    } else {
+        return x + y;
+    }
+}
+template <typename T>
+[[nodiscard]] T wrap_sub(T x, T y)
+{
+    if constexpr (std::is_integral_v<T>) {
+        using U = std::make_unsigned_t<T>;
+        return static_cast<T>(static_cast<U>(static_cast<U>(x) -
+                                             static_cast<U>(y)));
+    } else {
+        return x - y;
+    }
+}
+template <typename T>
+[[nodiscard]] T wrap_mul(T x, T y)
+{
+    if constexpr (std::is_integral_v<T>) {
+        using U = std::make_unsigned_t<T>;
+        // Widen before multiplying: u8 operands promote to int.
+        using W = std::conditional_t<(sizeof(U) < sizeof(unsigned)),
+                                     unsigned, U>;
+        return static_cast<T>(static_cast<U>(static_cast<W>(x) *
+                                             static_cast<W>(y)));
+    } else {
+        return x * y;
+    }
+}
+
+[[nodiscard]] LaneMask mask_where(const std::vector<bool>& hit)
+{
+    LaneMask m = 0;
+    for (int l = 0; l < kWarpSize; ++l)
+        if (hit[static_cast<std::size_t>(l)])
+            m |= LaneMask{1} << l;
+    return m;
+}
+
+constexpr LaneMask kProbeMasks[] = {0u,          simt::kFullMask,
+                                    0x55555555u, 0x80000000u,
+                                    0x1u,        0x7fffffffu,
+                                    0x0ff00f0fu};
+
+/// Inputs static_cast<U> defines for every lane of T: anything for
+/// integer sources and float-to-float; for float-to-integer, in-range
+/// values with fractions to truncate.
+template <typename T, typename U>
+[[nodiscard]] LaneVec<T> cast_input(std::uint64_t seed)
+{
+    if constexpr (std::is_integral_v<T> || std::is_floating_point_v<U>) {
+        return edge_vec<T>(seed);
+    } else {
+        LaneVec<T> v;
+        for (int l = 0; l < kWarpSize; ++l) {
+            const double x = std::is_signed_v<U> ? (l - 16) * 3.75
+                                                 : l * 3.75 + 0.5;
+            v.set(l, static_cast<T>(x));
+        }
+        return v;
+    }
+}
+
+template <typename T, typename U>
+void expect_cast_exact()
+{
+    const auto a = cast_input<T, U>(11);
+    LaneVec<U> want;
+    for (int l = 0; l < kWarpSize; ++l)
+        want.set(l, static_cast<U>(a.get(l)));
+    const std::string what = std::string("cast ") + typeid(T).name() +
+                             " -> " + typeid(U).name();
+    expect_lanes_bits_eq(a.template cast<U>(), want, what);
+    expect_lanes_bits_eq(
+        instrumented([&] { return a.template cast<U>(); }), want,
+        what + " (instrumented)");
+}
+
+template <typename T>
+class SimdLaneOps : public ::testing::Test {};
+using SimdLaneTypes = ::testing::Types<u8, i32, u32, f32, i64, u64, f64>;
+TYPED_TEST_SUITE(SimdLaneOps, SimdLaneTypes);
+
+} // namespace
+
+TYPED_TEST(SimdLaneOps, ArithmeticMatchesPerLaneDefinitionBitExactly)
+{
+    using T = TypeParam;
+    for (std::uint64_t seed = 0; seed < 6; ++seed) {
+        const auto a = edge_vec<T>(seed);
+        const auto b = edge_vec<T>(seed * 5 + 3);
+        LaneMask nan2 = 0; // both operands NaN (see expect_lanes_bits_eq)
+        if constexpr (std::is_floating_point_v<T>)
+            for (int l = 0; l < kWarpSize; ++l)
+                if (std::isnan(a.get(l)) && std::isnan(b.get(l)))
+                    nan2 |= LaneMask{1} << l;
+        const auto add = per_lane(a, b, wrap_add<T>);
+        const auto sub = per_lane(a, b, wrap_sub<T>);
+        const auto mul = per_lane(a, b, wrap_mul<T>);
+        expect_lanes_bits_eq(a + b, add, "operator+", nan2);
+        expect_lanes_bits_eq(a - b, sub, "operator-", nan2);
+        expect_lanes_bits_eq(a * b, mul, "operator*", nan2);
+        expect_lanes_bits_eq(simt::vadd(a, b), add, "vadd", nan2);
+        expect_lanes_bits_eq(simt::vmul(a, b), mul, "vmul", nan2);
+        expect_lanes_bits_eq(instrumented([&] { return simt::vadd(a, b); }),
+                             add, "vadd (instrumented)", nan2);
+        expect_lanes_bits_eq(instrumented([&] { return simt::vmul(a, b); }),
+                             mul, "vmul (instrumented)", nan2);
+        if constexpr (std::is_integral_v<T>) {
+            const auto band = per_lane(
+                a, b, [](T x, T y) { return static_cast<T>(x & y); });
+            expect_lanes_bits_eq(simt::vband(a, b), band, "vband");
+        }
+        for (const LaneMask m : kProbeMasks) {
+            const auto where = [&](const LaneVec<T>& s,
+                                   const LaneVec<T>& keep) {
+                LaneVec<T> r;
+                for (int l = 0; l < kWarpSize; ++l)
+                    r.set(l, simt::lane_active(m, l) ? s.get(l)
+                                                     : keep.get(l));
+                return r;
+            };
+            const std::string tag = " mask " + std::to_string(m);
+            expect_lanes_bits_eq(simt::vadd_where(m, a, b), where(add, a),
+                                 "vadd_where" + tag, nan2 & m);
+            expect_lanes_bits_eq(simt::vsub_where(m, a, b), where(sub, a),
+                                 "vsub_where" + tag, nan2 & m);
+            expect_lanes_bits_eq(simt::vselect(m, a, b), where(a, b),
+                                 "vselect" + tag);
+            expect_lanes_bits_eq(
+                instrumented([&] { return simt::vadd_where(m, a, b); }),
+                where(add, a), "vadd_where (instrumented)" + tag, nan2 & m);
+            expect_lanes_bits_eq(
+                instrumented([&] { return simt::vsub_where(m, a, b); }),
+                where(sub, a), "vsub_where (instrumented)" + tag, nan2 & m);
+            expect_lanes_bits_eq(
+                instrumented([&] { return simt::vselect(m, a, b); }),
+                where(a, b), "vselect (instrumented)" + tag);
+        }
+    }
+}
+
+TYPED_TEST(SimdLaneOps, IntegerLanesWrapAtTheTypesLimits)
+{
+    using T = TypeParam;
+    if constexpr (std::is_integral_v<T>) {
+        using L = std::numeric_limits<T>;
+        const auto max = LaneVec<T>::broadcast(L::max());
+        const auto min = LaneVec<T>::broadcast(L::min());
+        const auto one = LaneVec<T>::broadcast(T{1});
+        expect_lanes_bits_eq(simt::vadd(max, one), min, "max + 1");
+        expect_lanes_bits_eq(simt::vadd_where(0x0000ffffu, max, one),
+                             simt::vselect(0x0000ffffu, min, max),
+                             "partial max + 1");
+        expect_lanes_bits_eq(simt::vsub_where(simt::kFullMask, min, one),
+                             max, "min - 1");
+    }
+}
+
+TYPED_TEST(SimdLaneOps, ComparisonsMatchPerLaneDefinition)
+{
+    using T = TypeParam;
+    for (std::uint64_t seed = 0; seed < 6; ++seed) {
+        const auto a = edge_vec<T>(seed);
+        // Every third lane equal, so == and the ties of < / >= show.
+        auto b = edge_vec<T>(seed + 7);
+        for (int l = 0; l < kWarpSize; l += 3)
+            b.set(l, a.get(l));
+        std::vector<bool> lt, ge, eq;
+        for (int l = 0; l < kWarpSize; ++l) {
+            lt.push_back(a.get(l) < b.get(l));
+            ge.push_back(a.get(l) >= b.get(l));
+            eq.push_back(a.get(l) == b.get(l));
+        }
+        EXPECT_EQ(a < b, mask_where(lt)) << "seed " << seed;
+        EXPECT_EQ(a >= b, mask_where(ge)) << "seed " << seed;
+        EXPECT_EQ(a == b, mask_where(eq)) << "seed " << seed;
+    }
+}
+
+TYPED_TEST(SimdLaneOps, CastsMatchStaticCastBitExactly)
+{
+    using T = TypeParam;
+    expect_cast_exact<T, u8>();
+    expect_cast_exact<T, i32>();
+    expect_cast_exact<T, u32>();
+    expect_cast_exact<T, f32>();
+    expect_cast_exact<T, i64>();
+    expect_cast_exact<T, u64>();
+    expect_cast_exact<T, f64>();
 }
 
 // The 31/32/33 segment edges: a warp covering elements [first, first+32)
@@ -559,6 +865,163 @@ TEST(NativeLowering, AllWarpScansMatchInstrumentedBitExactly)
     }
 }
 
+// --------------------------------------- tile transpose and tile scans --
+
+namespace {
+
+/// A 32x32 register matrix of seeded values: full-range bits for integer
+/// lanes; for float lanes real values in [-1, 1) with -0.0 injected (row 3
+/// is all -0.0, every 5th element elsewhere), so sums are inexact and any
+/// reassociation or zero-filled shift would show.
+template <typename T>
+[[nodiscard]] simt::LaneTile<T> seeded_tile(std::uint64_t seed)
+{
+    std::mt19937_64 rng(seed);
+    simt::LaneTile<T> t{};
+    for (int j = 0; j < kWarpSize; ++j)
+        for (int l = 0; l < kWarpSize; ++l) {
+            T v{};
+            if constexpr (std::is_integral_v<T>)
+                v = static_cast<T>(rng());
+            else if (j == 3 || (j * kWarpSize + l) % 5 == 0)
+                v = -T{0};
+            else
+                v = static_cast<T>(
+                    std::uniform_real_distribution<double>(-1, 1)(rng));
+            t[static_cast<std::size_t>(j)].set(l, v);
+        }
+    return t;
+}
+
+template <typename T>
+void expect_tiles_bits_eq(const simt::LaneTile<T>& got,
+                          const simt::LaneTile<T>& want,
+                          const std::string& what)
+{
+    for (int j = 0; j < kWarpSize; ++j)
+        expect_lanes_bits_eq(got[static_cast<std::size_t>(j)],
+                             want[static_cast<std::size_t>(j)],
+                             what + " row " + std::to_string(j));
+}
+
+constexpr scan::WarpScanKind kAllScanKinds[] = {
+    scan::WarpScanKind::kKoggeStone, scan::WarpScanKind::kLadnerFischer,
+    scan::WarpScanKind::kBrentKung, scan::WarpScanKind::kHanCarlson};
+
+template <typename T>
+class SimdTile : public ::testing::Test {};
+using SimdTileTypes = ::testing::Types<i32, u32, f32, i64, u64, f64>;
+TYPED_TEST_SUITE(SimdTile, SimdTileTypes);
+
+} // namespace
+
+TYPED_TEST(SimdTile, TransposeLanesIsTheTranspose)
+{
+    using T = TypeParam;
+    const auto orig = seeded_tile<T>(5);
+    auto t = orig;
+    simt::transpose_lanes(t);
+    for (int j = 0; j < kWarpSize; ++j)
+        for (int l = 0; l < kWarpSize; ++l)
+            EXPECT_EQ(bits_of(t[static_cast<std::size_t>(l)].get(j)),
+                      bits_of(orig[static_cast<std::size_t>(j)].get(l)))
+                << j << "," << l;
+    simt::transpose_lanes(t);
+    expect_tiles_bits_eq(t, orig, "transpose twice");
+}
+
+TYPED_TEST(SimdTile, SmemTransposedLoadIsItsStridedLoads)
+{
+    using T = TypeParam;
+    const auto src = seeded_tile<T>(9);
+    for (const std::int64_t stride : {32, 33}) {
+        for (const std::int64_t first : {0, 3}) {
+            simt::SharedMemory smem(64 * 1024);
+            auto v = smem.alloc<T>("tile", first + 32 * stride + 8);
+            for (int j = 0; j < kWarpSize; ++j)
+                v.store_row(first + j * stride,
+                            src[static_cast<std::size_t>(j)]);
+            simt::LaneTile<T> fast{}, slow{};
+            v.load_transposed(first, stride, fast);
+            for (int j = 0; j < kWarpSize; ++j)
+                slow[static_cast<std::size_t>(j)] =
+                    v.load_strided(first + j, stride);
+            const std::string what = "stride " + std::to_string(stride) +
+                                     " first " + std::to_string(first);
+            expect_tiles_bits_eq(fast, slow, what);
+
+            // Instrumented, the tile read IS the 32 strided loads.
+            simt::PerfCounters c_tile, c_rows;
+            {
+                simt::CounterScope cs(c_tile);
+                simt::LaneTile<T> t{};
+                v.load_transposed(first, stride, t);
+                expect_tiles_bits_eq(t, slow, what + " (instrumented)");
+            }
+            {
+                simt::CounterScope cs(c_rows);
+                for (int j = 0; j < kWarpSize; ++j)
+                    (void)v.load_strided(first + j, stride);
+            }
+            EXPECT_TRUE(c_tile == c_rows) << what;
+        }
+    }
+}
+
+TYPED_TEST(SimdTile, TileScanMatchesPerRowScansBitExactly)
+{
+    using T = TypeParam;
+    for (const auto kind : kAllScanKinds) {
+        const std::string what(scan::to_string(kind));
+        const auto src = seeded_tile<T>(21);
+        auto tile = src;
+        scan::warp_inclusive_scan_tile(kind, tile);
+        simt::LaneTile<T> rows{};
+        for (int j = 0; j < kWarpSize; ++j)
+            rows[static_cast<std::size_t>(j)] = scan::warp_inclusive_scan(
+                kind, src[static_cast<std::size_t>(j)]);
+        expect_tiles_bits_eq(tile, rows, what);
+        auto checked = src;
+        instrumented([&] {
+            scan::warp_inclusive_scan_tile(kind, checked);
+            return 0;
+        });
+        expect_tiles_bits_eq(checked, rows, what + " (instrumented)");
+        if constexpr (std::is_floating_point_v<T>) {
+            // -0.0 + -0.0 = -0.0 on every lane of the all -0.0 row; a
+            // zero-filled shift would have produced +0.0 somewhere.
+            for (int l = 0; l < kWarpSize; ++l)
+                EXPECT_TRUE(std::signbit(tile[3].get(l)) &&
+                            tile[3].get(l) == T{0})
+                    << what << " lane " << l;
+        }
+    }
+}
+
+TYPED_TEST(SimdTile, InstrumentedTileScanCountsLikeItsRowScans)
+{
+    using T = TypeParam;
+    const auto src = seeded_tile<T>(33);
+    for (const auto kind : kAllScanKinds)
+        for (const int rows : {kWarpSize, 5}) {
+            simt::PerfCounters c_tile, c_rows;
+            {
+                simt::CounterScope cs(c_tile);
+                auto t = src;
+                scan::warp_inclusive_scan_tile(kind, t, rows);
+            }
+            {
+                simt::CounterScope cs(c_rows);
+                for (int j = 0; j < rows; ++j)
+                    (void)scan::warp_inclusive_scan(
+                        kind, src[static_cast<std::size_t>(j)]);
+            }
+            EXPECT_TRUE(c_tile == c_rows)
+                << scan::to_string(kind) << " rows " << rows;
+            EXPECT_GT(c_tile.lane_add, 0u);
+        }
+}
+
 // ------------------------------------------------------ block executor --
 
 namespace {
@@ -786,6 +1249,108 @@ TEST(NativeBackend, BitExactWithSimulatorOnRaggedShapes)
                 EXPECT_TRUE(t_sim == t_nat)
                     << sat::to_string(algo) << " " << s.h << "x" << s.w;
             }
+}
+
+namespace {
+
+/// Real-valued f32 image in [-1, 1) with -0.0 injected at every 7th
+/// element.  Unlike AnyMatrix::random's small integers, its partial sums
+/// round, so a lowering that reassociated a single add would differ.
+[[nodiscard]] satgpu::Matrix<satgpu::f32>
+real_f32_image(std::int64_t h, std::int64_t w, std::uint64_t seed)
+{
+    satgpu::Matrix<satgpu::f32> m(h, w);
+    satgpu::fill_random(m, seed, -1.0f, 1.0f);
+    for (std::size_t i = 0; i < m.flat().size(); i += 7)
+        m.flat()[i] = -0.0f;
+    return m;
+}
+
+template <typename T>
+[[nodiscard]] bool same_bits(const satgpu::Matrix<T>& a,
+                             const satgpu::Matrix<T>& b)
+{
+    return a.height() == b.height() && a.width() == b.width() &&
+           std::memcmp(a.flat().data(), b.flat().data(),
+                       a.flat().size() * sizeof(T)) == 0;
+}
+
+} // namespace
+
+TEST(NativeBackend, BitExactWithSimulatorOnRealValuedF32)
+{
+    sat::Runtime rt({.record_history = false});
+    const DtypePair f32f32{Dtype::f32_, Dtype::f32_};
+    // 40 x 1100 spans two 1024-column chunks of the BRLT kernels.
+    const struct {
+        std::int64_t h, w;
+    } shapes[] = {{33, 17}, {64, 31}, {130, 97}, {40, 1100}};
+    for (const auto algo : kNativeAlgos)
+        for (const auto& s : shapes) {
+            const sat::AnyMatrix image{real_f32_image(s.h, s.w, 29)};
+            const auto sim = rt.plan(
+                {.height = s.h, .width = s.w, .dtypes = f32f32,
+                 .algorithm = algo});
+            const auto nat = rt.plan({.height = s.h,
+                                      .width = s.w,
+                                      .dtypes = f32f32,
+                                      .algorithm = algo,
+                                      .backend = sat::Backend::kNative});
+            ASSERT_EQ(nat.backend(), sat::Backend::kNative);
+            EXPECT_TRUE(same_bits(sim.execute(image).table.as<satgpu::f32>(),
+                                  nat.execute(image).table.as<satgpu::f32>()))
+                << sat::to_string(algo) << " " << s.h << "x" << s.w;
+        }
+}
+
+TEST(NativeBackend, FusedF32QueryBitExactWithSimulatorOnRealValues)
+{
+    sat::Runtime rt({.record_history = false});
+    const DtypePair f32f32{Dtype::f32_, Dtype::f32_};
+    for (const auto& q :
+         {sat::QuerySpec{sat::BoxFilterSpec{4}},
+          sat::QuerySpec{sat::WindowSumSpec{5, 9}}})
+        for (const auto& [h, w] :
+             {std::pair<std::int64_t, std::int64_t>{97, 130}, {257, 65}}) {
+            const sat::AnyMatrix image{real_f32_image(h, w, 31)};
+            const auto req = [&](sat::Backend b) {
+                return sat::PlanRequest{.height = h,
+                                        .width = w,
+                                        .dtypes = f32f32,
+                                        .algorithm =
+                                            sat::Algorithm::kBrltScanRow,
+                                        .backend = b,
+                                        .query = q,
+                                        .query_mode =
+                                            sat::QueryMode::kFused};
+            };
+            const auto sim = rt.plan_query(req(sat::Backend::kSim));
+            const auto nat = rt.plan_query(req(sat::Backend::kNative));
+            ASSERT_EQ(nat.backend(), sat::Backend::kNative);
+            ASSERT_TRUE(nat.query_fused());
+            EXPECT_TRUE(same_bits(sim.execute(image).table.as<satgpu::f32>(),
+                                  nat.execute(image).table.as<satgpu::f32>()))
+                << sat::query_label(q) << " " << h << "x" << w;
+        }
+}
+
+TEST(NativeBackend, SlidingWindowF32BitExactWithSimulatorOnRealValues)
+{
+    constexpr std::int64_t kH = 45, kW = 70, kWindow = 3;
+    for (const auto algo : kNativeAlgos) {
+        simt::Engine eng({.record_history = false});
+        using Window = sat::SlidingWindowSat<satgpu::f32, satgpu::f32>;
+        Window sim(eng, kWindow, kH, kW, {.algorithm = algo});
+        Window nat(eng, kWindow, kH, kW,
+                   {.algorithm = algo, .backend = sat::Backend::kNative});
+        for (std::uint64_t t = 0; t < 5; ++t) {
+            const auto frame = real_f32_image(kH, kW, 100 + t);
+            (void)sim.push(frame);
+            (void)nat.push(frame);
+            EXPECT_TRUE(same_bits(sim.window_table(), nat.window_table()))
+                << sat::to_string(algo) << " push " << t;
+        }
+    }
 }
 
 TEST(NativeBackend, InstrumentedRequestsForceSimulator)

@@ -40,6 +40,13 @@ void* operator new(std::size_t n)
         return p;
     throw std::bad_alloc();
 }
+// The nothrow form too (std::stable_sort's temporary buffer uses it), so
+// every pointer the replaced deletes free() came from malloc.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept
+{
+    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(n == 0 ? 1 : n);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 #if defined(__GNUC__) && !defined(__clang__)
