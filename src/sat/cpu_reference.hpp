@@ -8,6 +8,8 @@
 
 #include "core/matrix.hpp"
 
+#include <algorithm>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -112,19 +114,46 @@ template <typename T>
     return out;
 }
 
+/// Fig. 1 over a rectangle that may reach outside the table: the sum of
+/// the image over the intersection of the inclusive rectangle
+/// [x0, x1] x [y0, y1] with the table, from the INCLUSIVE height x width
+/// SAT held row-major in `sat` (read in place, four lookups), as
+/// a + d - b - c.  An empty intersection -- a reversed rectangle, or one
+/// wholly outside -- sums to 0.
+template <typename T>
+[[nodiscard]] T clamped_rect_sum(std::span<const T> sat, std::int64_t height,
+                                 std::int64_t width, std::int64_t y0,
+                                 std::int64_t x0, std::int64_t y1,
+                                 std::int64_t x1)
+{
+    SATGPU_EXPECTS(height >= 0 && width >= 0 &&
+                   static_cast<std::int64_t>(sat.size()) >= height * width);
+    y0 = std::max<std::int64_t>(y0, 0);
+    x0 = std::max<std::int64_t>(x0, 0);
+    y1 = std::min(y1, height - 1);
+    x1 = std::min(x1, width - 1);
+    if (y0 > y1 || x0 > x1)
+        return T{};
+    const auto at = [&](std::int64_t y, std::int64_t x) {
+        return sat[static_cast<std::size_t>(y * width + x)];
+    };
+    const T d = at(y1, x1);
+    const T a = (y0 > 0 && x0 > 0) ? at(y0 - 1, x0 - 1) : T{};
+    const T b = (y0 > 0) ? at(y0 - 1, x1) : T{};
+    const T c = (x0 > 0) ? at(y1, x0 - 1) : T{};
+    return static_cast<T>(static_cast<T>(a + d) - static_cast<T>(b + c));
+}
+
 /// Fig. 1: sum of the image over the inclusive rectangle
-/// [x0, x1] x [y0, y1], from an INCLUSIVE SAT, as a + d - b - c.
+/// [x0, x1] x [y0, y1], which must lie inside the INCLUSIVE SAT.
 template <typename T>
 [[nodiscard]] T rect_sum(const Matrix<T>& sat, std::int64_t y0,
                          std::int64_t x0, std::int64_t y1, std::int64_t x1)
 {
     SATGPU_EXPECTS(0 <= y0 && y0 <= y1 && y1 < sat.height());
     SATGPU_EXPECTS(0 <= x0 && x0 <= x1 && x1 < sat.width());
-    const T d = sat(y1, x1);
-    const T a = (y0 > 0 && x0 > 0) ? sat(y0 - 1, x0 - 1) : T{};
-    const T b = (y0 > 0) ? sat(y0 - 1, x1) : T{};
-    const T c = (x0 > 0) ? sat(y1, x0 - 1) : T{};
-    return static_cast<T>(static_cast<T>(a + d) - static_cast<T>(b + c));
+    return clamped_rect_sum(sat.flat(), sat.height(), sat.width(), y0, x0,
+                            y1, x1);
 }
 
 } // namespace satgpu::sat

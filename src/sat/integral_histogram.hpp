@@ -4,21 +4,21 @@
 // motivates.
 //
 // integral_histogram_batched builds every bin bin-major (the batching of
-// Poostchi et al., arXiv 1711.01919): ONE fused grid.z = bins binning
-// launch writes every bin's mask plane on the simulated GPU, then all
+// Poostchi et al., arXiv 1711.01919): ONE bin-mask launch (one job per
+// bin, on the plan's backend) writes every bin's mask plane, then all
 // planes ride one Plan::execute_wave, with every lease (image staging,
 // masks, the wave's workspaces) drawn from a single BufferPool partition
 // so the whole build's device footprint is attributable and bounded by
 // IntegralHistogram::workspace_bytes.
 //
-// Binning semantics: bins need NOT divide 256.  bin_width = 256 / bins
-// (floor, >= 1), and the TOP bin absorbs the ragged remainder: a pixel
-// value v lands in bin min(v / bin_width, bins - 1), so e.g. 48 bins give
-// 47 five-value bins plus a final bin covering [235, 255].  (The seed
-// implementation required bins | 256 and silently DROPPED values whose
-// quotient reached `bins`; masks now always partition the image.)
+// Binning: bin_of (sat/query_spec.hpp), the rule RegionHistogramSpec
+// queries use too, through the same bin-mask kernel (sat/query.hpp), so
+// a region-histogram query equals region() of the batched tables at
+// every pixel.  bins need NOT divide 256: the top bin absorbs the ragged
+// remainder.
 #pragma once
 
+#include "sat/query.hpp"
 #include "sat/runtime.hpp"
 #include "sat/sat.hpp"
 
@@ -39,70 +39,24 @@ struct IntegralHistogram {
     [[nodiscard]] std::size_t bins() const noexcept { return tables.size(); }
 
     /// Histogram of the inclusive rectangle [x0,x1] x [y0,y1]: four SAT
-    /// lookups per bin.
-    ///
-    /// The rectangle is clamped to the table extent (a partially
-    /// overlapping query counts the intersection); an empty or reversed
-    /// rectangle yields all-zero counts.  Unclamped coordinates used to
-    /// flow straight into rect_sum, whose preconditions abort on
-    /// out-of-range `y1/x1` and whose wrapping arithmetic silently
-    /// produced garbage for `y0 > y1`.
+    /// lookups per bin.  The rectangle is clamped to the table extent (a
+    /// partially overlapping query counts the intersection); an empty or
+    /// reversed rectangle yields all-zero counts.
     [[nodiscard]] std::vector<u32> region(std::int64_t y0, std::int64_t x0,
                                           std::int64_t y1,
                                           std::int64_t x1) const
     {
         std::vector<u32> h(tables.size(), 0u);
-        if (tables.empty())
-            return h;
-        const std::int64_t height = tables.front().height();
-        const std::int64_t width = tables.front().width();
-        y0 = std::max<std::int64_t>(y0, 0);
-        x0 = std::max<std::int64_t>(x0, 0);
-        y1 = std::min(y1, height - 1);
-        x1 = std::min(x1, width - 1);
-        if (y0 > y1 || x0 > x1)
-            return h; // empty or reversed: zero counts
         for (std::size_t i = 0; i < tables.size(); ++i)
-            h[i] = rect_sum(tables[i], y0, x0, y1, x1);
+            h[i] = clamped_rect_sum(tables[i].flat(), tables[i].height(),
+                                    tables[i].width(), y0, x0, y1, x1);
         return h;
     }
 };
 
-namespace detail {
-
-/// Binning kernel: mask[i] = (bin_of(img[i]) == bin) ? 1 : 0, where
-/// bin_of(v) = min(v / bin_width, bins - 1) -- the top bin absorbs the
-/// ragged remainder when bins does not divide 256, so the masks always
-/// partition the image.
-inline simt::KernelTask bin_mask_warp(simt::WarpCtx& w,
-                                      const simt::DeviceBuffer<u8>& img,
-                                      std::int64_t n, int bin,
-                                      std::int64_t bin_width, int bins,
-                                      simt::DeviceBuffer<u8>& mask)
-{
-    const std::int64_t base =
-        (w.block_idx().x * w.warps_per_block() + w.warp_id()) *
-        simt::kWarpSize;
-    const simt::LaneMask m = simt::lanes_in_range(base, n);
-    if (m == 0)
-        co_return;
-    const auto v = img.load_row(base, m);
-    simt::LaneVec<u8> out{};
-    for (int l = 0; l < simt::kWarpSize; ++l)
-        if (simt::lane_active(m, l)) {
-            const auto b = std::min<std::int64_t>(v.get(l) / bin_width,
-                                                  bins - 1);
-            out.set(l, b == static_cast<std::int64_t>(bin) ? u8{1} : u8{0});
-        }
-    mask.store_row(base, out, m);
-}
-
-} // namespace detail
-
-/// Build the integral histogram of an 8u image with `bins` equal-width
-/// bins (1 <= bins <= 256; the top bin is wider when bins does not divide
-/// 256 -- see the header comment) through the type-erased runtime.  One
-/// fused grid.z = bins mask launch, then every bin plane through a single
+/// Build the integral histogram of an 8u image with `bins` bins under
+/// bin_of (1 <= bins <= 256) through the type-erased runtime.  One
+/// bin-mask launch for every bin, then every bin plane through a single
 /// Plan::execute_wave (each SAT kernel pass runs once for all bins).  All
 /// leases come from `pool_partition` of the runtime's pool.
 [[nodiscard]] inline IntegralHistogram
@@ -128,31 +82,24 @@ integral_histogram_batched(Runtime& rt, const Matrix<u8>& image, int bins,
     masks.reserve(static_cast<std::size_t>(bins));
     {
         // Phase 1: stage the image once, lease one mask plane per bin from
-        // the SAME partition, and bin every plane in ONE fused launch
-        // (block (x, 0, z) bins plane z).  Leases release before the wave,
-        // so the wave's u8 staging reuses the mask buffers and the
-        // partition's high-water stays within workspace_bytes.
+        // the SAME partition, and bin every plane in ONE launch (job b
+        // masks bin b).  Leases release before the wave, so the wave's u8
+        // staging reuses the mask buffers and the partition's high-water
+        // stays within workspace_bytes.
         auto img = rt.pool().acquire<u8>(n, pool_partition);
         std::copy(image.flat().begin(), image.flat().end(),
                   img->host().begin());
         std::vector<simt::BufferPool::Lease<u8>> mask_leases;
-        std::vector<simt::DeviceBuffer<u8>*> mask_ptrs;
+        std::vector<detail::BinMaskJob> jobs;
         mask_leases.reserve(static_cast<std::size_t>(bins));
-        mask_ptrs.reserve(static_cast<std::size_t>(bins));
+        jobs.reserve(static_cast<std::size_t>(bins));
         for (int b = 0; b < bins; ++b) {
             mask_leases.push_back(rt.pool().acquire<u8>(n, pool_partition));
-            mask_ptrs.push_back(&*mask_leases.back());
+            jobs.push_back({&*img, &*mask_leases.back(), n, b});
         }
-        ih.launches.push_back(rt.engine().launch(
-            {"bin_mask", 12, 0},
-            {{ceil_div(n, 256), 1, bins}, {256, 1, 1}},
-            [&](simt::WarpCtx& wc) {
-                const auto z = static_cast<std::size_t>(wc.block_idx().z);
-                return detail::bin_mask_warp(
-                    wc, *img, n, static_cast<int>(z), ih.bin_width, bins,
-                    *mask_ptrs[z]);
-            }));
-        for (auto* m : mask_ptrs)
+        ih.launches.push_back(detail::launch_bin_mask(
+            rt.engine(), jobs, bins, plan.backend() == Backend::kNative));
+        for (const auto& m : mask_leases)
             masks.emplace_back(m->to_matrix(h, w));
     }
 

@@ -10,10 +10,8 @@
 // rect_sum difference evaluated at IV[t1] minus the same difference at
 // IV[t0 - 1].  Execution reuses the shipped 2-D machinery -- one SAT pass
 // per frame (any Algorithm, untiled or macro-tiled, sim or native) plus a
-// trivially parallel temporal-accumulate kernel written in the same
-// dual-lowering idiom as the paper kernels: a shared warp body, a
-// coroutine wrapper for the simulator and a phase-major block loop for the
-// native backend.
+// trivially parallel temporal-accumulate kernel: one barrier-free warp
+// body that simt::launch_warps runs on either backend.
 //
 // The sliding-window half is the streaming workload ROADMAP's second open
 // item names: a window of the last T frames whose aggregate SAT
@@ -40,42 +38,21 @@ namespace satgpu::sat {
 
 namespace detail {
 
-/// Temporal-accumulate warp body, shared by both lowerings (W =
-/// simt::WarpCtx or simt::NativeWarpCtx): acc[i] += cur[i] over one
-/// 32-element group per warp.  Barrier free; every access is a contiguous
-/// row access, so the pass is perfectly coalesced.
+/// Temporal-accumulate warp body (W = simt::WarpCtx or
+/// simt::NativeWarpCtx): acc[i] += cur[i] over one 32-element group per
+/// warp.  Barrier free; every access is a contiguous row access, so the
+/// pass is perfectly coalesced.
 template <typename T, typename W>
 void temporal_add_warp_body(W& w, const simt::DeviceBuffer<T>& cur,
                             std::int64_t n, simt::DeviceBuffer<T>& acc)
 {
-    const std::int64_t base =
-        (w.block_idx().x * w.warps_per_block() + w.warp_id()) *
-        simt::kWarpSize;
+    const std::int64_t base = elementwise_base(w);
     const simt::LaneMask m = simt::lanes_in_range(base, n);
     if (m == 0)
         return;
     const auto a = acc.load_row(base, m);
     const auto c = cur.load_row(base, m);
     acc.store_row(base, simt::vadd_where(m, a, c), m);
-}
-
-template <typename T>
-simt::KernelTask temporal_add_warp(simt::WarpCtx& w,
-                                   const simt::DeviceBuffer<T>& cur,
-                                   std::int64_t n, simt::DeviceBuffer<T>& acc)
-{
-    temporal_add_warp_body<T>(w, cur, n, acc);
-    co_return;
-}
-
-template <typename T>
-void temporal_add_block_native(simt::NativeBlockCtx& blk,
-                               const simt::DeviceBuffer<T>& cur,
-                               std::int64_t n, simt::DeviceBuffer<T>& acc)
-{
-    const int wc = blk.warps_per_block();
-    for (int wid = 0; wid < wc; ++wid)
-        temporal_add_warp_body<T>(blk.warp(wid), cur, n, acc);
 }
 
 /// Sliding-window update body: win[i] = win[i] + cur[i] - old[i] in one
@@ -86,9 +63,7 @@ void window_update_warp_body(W& w, const simt::DeviceBuffer<T>& cur,
                              const simt::DeviceBuffer<T>& old,
                              std::int64_t n, simt::DeviceBuffer<T>& win)
 {
-    const std::int64_t base =
-        (w.block_idx().x * w.warps_per_block() + w.warp_id()) *
-        simt::kWarpSize;
+    const std::int64_t base = elementwise_base(w);
     const simt::LaneMask m = simt::lanes_in_range(base, n);
     if (m == 0)
         return;
@@ -96,34 +71,6 @@ void window_update_warp_body(W& w, const simt::DeviceBuffer<T>& cur,
     v = simt::vadd_where(m, v, cur.load_row(base, m));
     v = simt::vsub_where(m, v, old.load_row(base, m));
     win.store_row(base, v, m);
-}
-
-template <typename T>
-simt::KernelTask window_update_warp(simt::WarpCtx& w,
-                                    const simt::DeviceBuffer<T>& cur,
-                                    const simt::DeviceBuffer<T>& old,
-                                    std::int64_t n,
-                                    simt::DeviceBuffer<T>& win)
-{
-    window_update_warp_body<T>(w, cur, old, n, win);
-    co_return;
-}
-
-template <typename T>
-void window_update_block_native(simt::NativeBlockCtx& blk,
-                                const simt::DeviceBuffer<T>& cur,
-                                const simt::DeviceBuffer<T>& old,
-                                std::int64_t n, simt::DeviceBuffer<T>& win)
-{
-    const int wc = blk.warps_per_block();
-    for (int wid = 0; wid < wc; ++wid)
-        window_update_warp_body<T>(blk.warp(wid), cur, old, n, win);
-}
-
-/// 256-thread blocks, one 32-element group per warp (the bin_mask shape).
-[[nodiscard]] inline simt::LaunchConfig elementwise_config(std::int64_t n)
-{
-    return {{ceil_div(n, std::int64_t{256}), 1, 1}, {256, 1, 1}};
 }
 
 } // namespace detail
@@ -137,16 +84,9 @@ simt::LaunchStats launch_temporal_add(simt::Engine& eng,
                                       bool native = false)
 {
     SATGPU_EXPECTS(cur.size() >= n && acc.size() >= n);
-    const simt::KernelInfo info{"temporal_add", 12, 0};
-    const simt::LaunchConfig cfg = detail::elementwise_config(n);
-    if (native)
-        return simt::native_launch(
-            eng, info, cfg, [&](simt::NativeBlockCtx& blk) {
-                detail::temporal_add_block_native<T>(blk, cur, n, acc);
-            });
-    return eng.launch(info, cfg, [&](simt::WarpCtx& w) {
-        return detail::temporal_add_warp<T>(w, cur, n, acc);
-    });
+    return simt::launch_warps(
+        eng, {"temporal_add", 12, 0}, elementwise_config(n), native,
+        [&](auto& w) { detail::temporal_add_warp_body<T>(w, cur, n, acc); });
 }
 
 /// win = win + cur - old, elementwise over n elements (the incremental
@@ -160,16 +100,11 @@ simt::LaunchStats launch_window_update(simt::Engine& eng,
                                        bool native = false)
 {
     SATGPU_EXPECTS(cur.size() >= n && old.size() >= n && win.size() >= n);
-    const simt::KernelInfo info{"window_update", 14, 0};
-    const simt::LaunchConfig cfg = detail::elementwise_config(n);
-    if (native)
-        return simt::native_launch(
-            eng, info, cfg, [&](simt::NativeBlockCtx& blk) {
-                detail::window_update_block_native<T>(blk, cur, old, n, win);
-            });
-    return eng.launch(info, cfg, [&](simt::WarpCtx& w) {
-        return detail::window_update_warp<T>(w, cur, old, n, win);
-    });
+    return simt::launch_warps(
+        eng, {"window_update", 14, 0}, elementwise_config(n), native,
+        [&](auto& w) {
+            detail::window_update_warp_body<T>(w, cur, old, n, win);
+        });
 }
 
 /// Total useful device bytes a launch sequence moved (the traffic signal
@@ -432,6 +367,15 @@ public:
     [[nodiscard]] Matrix<Tout> window_table() const
     {
         return win_->to_matrix(h_, w_);
+    }
+
+    /// Windowed box sum over the inclusive rectangle [y0,y1] x [x0,x1]
+    /// clamped to the frame (clamped_rect_sum: 0 when empty or reversed),
+    /// read in place from the resident aggregate with four lookups.
+    [[nodiscard]] Tout window_sum(std::int64_t y0, std::int64_t x0,
+                                  std::int64_t y1, std::int64_t x1) const
+    {
+        return clamped_rect_sum(win_->host(), h_, w_, y0, x0, y1, x1);
     }
 
     [[nodiscard]] const std::vector<simt::LaunchStats>&

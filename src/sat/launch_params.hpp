@@ -25,4 +25,21 @@ template <typename Tout>
            + 24;
 }
 
+/// Launch shape of the elementwise kernels (temporal_add, window_update,
+/// bin_mask): 256-thread blocks, one 32-element group per warp, covering
+/// `n` elements for each of `jobs` operand sets (grid.y = job).
+[[nodiscard]] inline simt::LaunchConfig
+elementwise_config(std::int64_t n, std::int64_t jobs = 1)
+{
+    return {{ceil_div(n, std::int64_t{256}), jobs, 1}, {256, 1, 1}};
+}
+
+/// First element of the calling warp's group in an elementwise launch.
+template <typename W>
+[[nodiscard]] std::int64_t elementwise_base(const W& w)
+{
+    return (w.block_idx().x * w.warps_per_block() + w.warp_id()) *
+           simt::kWarpSize;
+}
+
 } // namespace satgpu::sat

@@ -119,8 +119,8 @@ void validate_query(const QuerySpec& q, DtypePair dtypes)
                 SATGPU_CHECK(s.win_h >= 1 && s.win_w >= 1,
                              "window-sum query needs a positive window");
             } else {
-                SATGPU_CHECK(s.bins > 0 && 256 % s.bins == 0,
-                             "histogram query bins must divide 256");
+                SATGPU_CHECK(s.bins >= 1 && s.bins <= 256,
+                             "histogram query bins must be in [1, 256]");
                 SATGPU_CHECK(s.radius >= 0,
                              "histogram query radius must be >= 0");
                 SATGPU_CHECK(dtypes.in == Dtype::u8_ &&

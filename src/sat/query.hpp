@@ -192,13 +192,13 @@ template <typename Tin>
     static_assert(std::is_same_v<Tin, u8>,
                   "region histograms are defined on 8u images");
     const std::int64_t h = image.height(), w = image.width();
-    const std::int64_t bin_width = 256 / spec.bins;
     Matrix<u32> out(static_cast<std::int64_t>(spec.bins) * h, w);
     Matrix<u8> mask(h, w);
     for (int b = 0; b < spec.bins; ++b) {
         for (std::int64_t y = 0; y < h; ++y)
             for (std::int64_t x = 0; x < w; ++x)
-                mask(y, x) = image(y, x) / bin_width == b ? u8{1} : u8{0};
+                mask(y, x) = bin_of(image(y, x), spec.bins) == b ? u8{1}
+                                                                 : u8{0};
         auto plane = query_serial<u32>(mask, spec);
         for (std::int64_t y = 0; y < h; ++y)
             std::copy_n(plane.row(y).data(), w,
@@ -717,18 +717,6 @@ void query_gather_body(W& w, const simt::DeviceBuffer<Tsat>& table,
     out.store_row((out_row0 + y) * width + x0, vals, m);
 }
 
-template <typename Spec, typename Tsat, typename Tin, typename Tout>
-simt::KernelTask query_gather_warp(simt::WarpCtx& w,
-                                   const simt::DeviceBuffer<Tsat>& table,
-                                   const simt::DeviceBuffer<Tin>* input,
-                                   std::int64_t height, std::int64_t width,
-                                   std::int64_t out_row0, const Spec& spec,
-                                   simt::DeviceBuffer<Tout>& out)
-{
-    query_gather_body(w, table, input, height, width, out_row0, spec, out);
-    co_return;
-}
-
 /// Launch the classic gather consumer over a full-image SAT.
 template <typename Spec, typename Tsat, typename Tin, typename Tout>
 [[nodiscard]] simt::LaunchStats launch_query_gather(
@@ -739,87 +727,60 @@ template <typename Spec, typename Tsat, typename Tin, typename Tout>
 {
     const std::int64_t block_w =
         std::int64_t{warps_per_block<Tsat>()} * kWarpSize;
-    const simt::KernelInfo info{"query_gather", 24, 0};
     const simt::LaunchConfig cfg{{ceil_div(width, block_w), height, 1},
                                  {block_w, 1, 1}};
-    if (native)
-        return simt::native_launch(
-            eng, info, cfg, [&](simt::NativeBlockCtx& blk) {
-                for (int wid = 0; wid < blk.warps_per_block(); ++wid)
-                    query_gather_body(blk.warp(wid), table, input, height,
-                                      width, out_row0, spec, out);
-            });
-    return eng.launch(info, cfg, [&](simt::WarpCtx& w) {
-        return query_gather_warp(w, table, input, height, width, out_row0,
-                                 spec, out);
-    });
+    return simt::launch_warps(
+        eng, {"query_gather", 24, 0}, cfg, native, [&](auto& w) {
+            query_gather_body(w, table, input, height, width, out_row0, spec,
+                              out);
+        });
 }
 
-// ---- Bin-mask kernel (RegionHistogram) ------------------------------------
+// ---- Bin-mask kernel (both histogram APIs) -------------------------------
 
-/// mask[i] = (in[i] / bin_width == bin), dual-lowered so the fused hist
-/// path stays native-certifiable.  Barrier free.
-template <typename W>
-void bin_mask_body(W& w, const simt::DeviceBuffer<u8>& in, std::int64_t n,
-                   int bin, std::int64_t bin_width,
-                   simt::DeviceBuffer<u8>& mask)
-{
-    const std::int64_t base =
-        (w.block_idx().x * w.warps_per_block() + w.warp_id()) * kWarpSize;
-    const LaneMask m = simt::lanes_in_range(base, n);
-    if (m == 0)
-        return;
-    const auto v = in.load_row(base, m);
-    LaneVec<u8> out{};
-    for (int l = 0; l < kWarpSize; ++l)
-        if (simt::lane_active(m, l))
-            out.set(l, v.get(l) / bin_width == bin ? u8{1} : u8{0});
-    mask.store_row(base, out, m);
-}
-
-/// One tile's bin-mask operands (fused hist path).
+/// One mask plane's operands: mask[i] = (bin_of(in[i], bins) == bin) over
+/// n elements.
 struct BinMaskJob {
     const simt::DeviceBuffer<u8>* in = nullptr;
     simt::DeviceBuffer<u8>* mask = nullptr;
     std::int64_t n = 0;
+    int bin = 0;
 };
 
-template <typename W = simt::WarpCtx>
-simt::KernelTask bin_mask_warp_task(simt::WarpCtx& w, const BinMaskJob& job,
-                                    int bin, std::int64_t bin_width)
+/// Bin-mask warp body: one 32-element group of one job.  Barrier free.
+template <typename W>
+void bin_mask_body(W& w, const BinMaskJob& job, int bins)
 {
-    bin_mask_body(w, *job.in, job.n, bin, bin_width, *job.mask);
-    co_return;
+    const std::int64_t base = elementwise_base(w);
+    const LaneMask m = simt::lanes_in_range(base, job.n);
+    if (m == 0)
+        return;
+    const auto v = job.in->load_row(base, m);
+    LaneVec<u8> out{};
+    for (int l = 0; l < kWarpSize; ++l)
+        if (simt::lane_active(m, l))
+            out.set(l, bin_of(v.get(l), bins) == job.bin ? u8{1} : u8{0});
+    job.mask->store_row(base, out, m);
 }
 
-/// Launch the bin-mask kernel for a group of extended tiles (grid.y =
-/// tile in group).
+/// Launch the bin-mask kernel over `jobs` (grid.y = job): every bin plane
+/// of an image (integral_histogram_batched) or one bin of each staged
+/// tile (the histogram query paths), on either backend.
 [[nodiscard]] inline simt::LaunchStats
-launch_bin_mask(simt::Engine& eng, std::span<const BinMaskJob> jobs, int bin,
-                std::int64_t bin_width, bool native)
+launch_bin_mask(simt::Engine& eng, std::span<const BinMaskJob> jobs, int bins,
+                bool native)
 {
+    SATGPU_EXPECTS(!jobs.empty() && bins >= 1 && bins <= 256);
     std::int64_t max_n = 1;
     for (const auto& j : jobs)
         max_n = std::max(max_n, j.n);
-    const simt::KernelInfo info{"query_bin_mask", 12, 0};
-    const simt::LaunchConfig cfg{
-        {ceil_div(max_n, std::int64_t{256}),
-         static_cast<std::int64_t>(jobs.size()), 1},
-        {256, 1, 1}};
-    if (native)
-        return simt::native_launch(
-            eng, info, cfg, [&](simt::NativeBlockCtx& blk) {
-                const auto& j =
-                    jobs[static_cast<std::size_t>(blk.block_idx().y)];
-                for (int wid = 0; wid < blk.warps_per_block(); ++wid)
-                    bin_mask_body(blk.warp(wid), *j.in, j.n, bin, bin_width,
-                                  *j.mask);
-            });
-    return eng.launch(info, cfg, [&](simt::WarpCtx& w) {
-        return bin_mask_warp_task(
-            w, jobs[static_cast<std::size_t>(w.block_idx().y)], bin,
-            bin_width);
-    });
+    return simt::launch_warps(
+        eng, {"bin_mask", 12, 0},
+        elementwise_config(max_n, static_cast<std::int64_t>(jobs.size())),
+        native, [&](auto& w) {
+            bin_mask_body(w, jobs[static_cast<std::size_t>(w.block_idx().y)],
+                          bins);
+        });
 }
 
 /// The halo a spec needs, typed (query.cpp's query_halo dispatches here).
@@ -882,7 +843,6 @@ compute_query_fused(simt::Engine& eng, const Matrix<Tin>& image,
         SATGPU_CHECK((std::is_same_v<Tin, u8> && std::is_same_v<Tsat, u32>),
                      "region histogram queries require the 8u -> 32u dtype "
                      "pair");
-        SATGPU_EXPECTS(spec.bins > 0 && 256 % spec.bins == 0);
         out_h = std::int64_t{spec.bins} * h;
     }
 
@@ -940,16 +900,15 @@ compute_query_fused(simt::Engine& eng, const Matrix<Tin>& image,
             return;
         if constexpr (kHist && std::is_same_v<Tin, u8> &&
                       std::is_same_v<Tsat, u32>) {
-            const std::int64_t bin_width = 256 / spec.bins;
             for (int b = 0; b < spec.bins; ++b) {
                 {
                     const simt::PhaseScope phase(eng, "query.tile");
                     std::vector<detail::BinMaskJob> mjobs;
                     for (Staged& s : group)
                         mjobs.push_back(
-                            {&*s.in, &*s.mask, s.ext.h * s.ext.w});
+                            {&*s.in, &*s.mask, s.ext.h * s.ext.w, b});
                     res.launches.push_back(detail::launch_bin_mask(
-                        eng, mjobs, b, bin_width, native));
+                        eng, mjobs, spec.bins, native));
                 }
                 run_tile_sats.template operator()<u8>(&Staged::mask);
                 run_consumers(std::int64_t{b} * h);
@@ -1028,8 +987,6 @@ compute_query_materialized(simt::Engine& eng, const Matrix<Tin>& image,
                             "32u dtype pair");
     } else if constexpr (kHist) {
         static_assert(std::is_same_v<Tout, u32>);
-        SATGPU_EXPECTS(spec.bins > 0 && 256 % spec.bins == 0);
-        const std::int64_t bin_width = 256 / spec.bins;
         auto out = simt::DeviceBuffer<Tout>::zeroed(
             eng.executor(), std::int64_t{spec.bins} * h * w);
         auto img = simt::acquire_or_new<Tin>(opt.pool, h * w,
@@ -1039,10 +996,10 @@ compute_query_materialized(simt::Engine& eng, const Matrix<Tin>& image,
         auto mask = simt::acquire_or_new<u8>(opt.pool, h * w,
                                              opt.pool_partition);
         for (int b = 0; b < spec.bins; ++b) {
-            const detail::BinMaskJob mjob{&*img, &*mask, h * w};
+            const detail::BinMaskJob mjob{&*img, &*mask, h * w, b};
             res.launches.push_back(detail::launch_bin_mask(
-                eng, std::span<const detail::BinMaskJob>(&mjob, 1), b,
-                bin_width, native));
+                eng, std::span<const detail::BinMaskJob>(&mjob, 1),
+                spec.bins, native));
             auto sat = compute_sat<Tsat>(eng, mask->to_matrix(h, w), opt);
             for (auto& l : sat.launches)
                 res.launches.push_back(std::move(l));

@@ -13,6 +13,7 @@
 
 #include "core/dtype.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -52,7 +53,7 @@ struct WindowSumSpec {
 };
 
 /// Per-pixel local histogram over the clamped (2r+1)^2 window: `bins`
-/// equal-width bins of an 8u image (bins must divide 256), emitted as a
+/// (1 to 256) bins of an 8u image under bin_of, emitted as a
 /// (bins*height) x width u32 matrix of counts, plane b at rows
 /// [b*height, (b+1)*height).  Requires the 8u -> 32u dtype pair.
 struct RegionHistogramSpec {
@@ -62,6 +63,16 @@ struct RegionHistogramSpec {
     operator==(const RegionHistogramSpec&,
                const RegionHistogramSpec&) noexcept = default;
 };
+
+/// The bin of 8u value `v` among `bins` (1 to 256) bins, the one binning
+/// rule of both histogram APIs (RegionHistogramSpec, IntegralHistogram):
+/// bins of width 256 / bins (floor), the top bin absorbing the ragged
+/// remainder when bins does not divide 256 -- 48 bins are 47 five-value
+/// bins plus [235, 255] -- so the bins always partition the values.
+[[nodiscard]] constexpr int bin_of(int v, int bins) noexcept
+{
+    return std::min(v / (256 / bins), bins - 1);
+}
 
 /// The query vocabulary.  monostate = "no query" (an ordinary SAT plan).
 using QuerySpec = std::variant<std::monostate, BoxFilterSpec,

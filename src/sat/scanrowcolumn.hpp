@@ -25,8 +25,8 @@
 namespace satgpu::sat {
 
 /// ScanRow warp body, the kernel source both lowerings share (W =
-/// simt::WarpCtx or simt::NativeWarpCtx).  Barrier free end to end, so the
-/// native lowering runs it whole per warp -- no phase splitting needed.
+/// simt::WarpCtx or simt::NativeWarpCtx).  Barrier free end to end, so
+/// simt::launch_warps runs it on either backend.
 template <typename Tout, typename Tsrc, typename W>
 void scanrow_warp_body(W& w, const simt::DeviceBuffer<Tsrc>& in,
                        std::int64_t height, std::int64_t width,
@@ -73,32 +73,6 @@ void scanrow_warp_body(W& w, const simt::DeviceBuffer<Tsrc>& in,
                           data[static_cast<std::size_t>(j)], m);
         }
     }
-}
-
-/// ScanRow, simulator lowering: the shared body wrapped in a coroutine.
-template <typename Tout, typename Tsrc>
-simt::KernelTask scanrow_warp(simt::WarpCtx& w,
-                              const simt::DeviceBuffer<Tsrc>& in,
-                              std::int64_t height, std::int64_t width,
-                              simt::DeviceBuffer<Tout>& out,
-                              scan::WarpScanKind kind)
-{
-    scanrow_warp_body<Tout, Tsrc>(w, in, height, width, out, kind);
-    co_return;
-}
-
-/// ScanRow, native lowering: barrier free, so warp order is irrelevant.
-template <typename Tout, typename Tsrc>
-void scanrow_block_native(simt::NativeBlockCtx& blk,
-                          const simt::DeviceBuffer<Tsrc>& in,
-                          std::int64_t height, std::int64_t width,
-                          simt::DeviceBuffer<Tout>& out,
-                          scan::WarpScanKind kind)
-{
-    const int wc = blk.warps_per_block();
-    for (int wid = 0; wid < wc; ++wid)
-        scanrow_warp_body<Tout, Tsrc>(blk.warp(wid), in, height, width, out,
-                                      kind);
 }
 
 /// ScanColumn: block `bx` owns columns [bx*32, bx*32+32); warps stack in
@@ -201,17 +175,10 @@ simt::LaunchStats launch_scanrow_wave(
         {1, ceil_div(height, wc), static_cast<std::int64_t>(ins.size())},
         {std::int64_t{wc} * kWarpSize, 1, 1}};
     const simt::KernelInfo info{"scanrow", regs_per_thread<Tout>(), 0};
-    if (native)
-        return simt::native_launch(
-            eng, info, cfg, [&](simt::NativeBlockCtx& blk) {
-                const auto z = static_cast<std::size_t>(blk.block_idx().z);
-                scanrow_block_native<Tout, Tsrc>(blk, *ins[z], height, width,
-                                                 *outs[z], kind);
-            });
-    return eng.launch(info, cfg, [&](simt::WarpCtx& w) {
+    return simt::launch_warps(eng, info, cfg, native, [&](auto& w) {
         const auto z = static_cast<std::size_t>(w.block_idx().z);
-        return scanrow_warp<Tout, Tsrc>(w, *ins[z], height, width, *outs[z],
-                                        kind);
+        scanrow_warp_body<Tout, Tsrc>(w, *ins[z], height, width, *outs[z],
+                                      kind);
     });
 }
 

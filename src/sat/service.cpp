@@ -70,7 +70,8 @@ std::string plan_key_label(const PlanKey& key)
                     std::string(to_string(key.algorithm));
     if (key.tile.enabled())
         s += "/tile" + std::to_string(key.tile.tile_h) + "x" +
-             std::to_string(key.tile.tile_w);
+             std::to_string(key.tile.tile_w) + "/fanout" +
+             std::to_string(key.tile.carry_fanout);
     if (key.warp_scan != scan::WarpScanKind::kKoggeStone)
         s += "/" + std::string(scan::to_string(key.warp_scan));
     if (!key.padded_smem)
@@ -685,8 +686,7 @@ struct StreamImplT final : StreamSession::Impl {
     [[nodiscard]] double sum(std::int64_t y0, std::int64_t x0,
                              std::int64_t y1, std::int64_t x1) const override
     {
-        return static_cast<double>(
-            rect_sum(win.window_table(), y0, x0, y1, x1));
+        return static_cast<double>(win.window_sum(y0, x0, y1, x1));
     }
     [[nodiscard]] std::uint64_t ring_bytes() const override
     {

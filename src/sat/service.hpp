@@ -92,8 +92,8 @@ struct PlanKey {
 [[nodiscard]] PlanKey plan_key(const PlanRequest& req) noexcept;
 
 /// Human-readable metric/trace label of a plan key:
-/// "<h>x<w>/<in-out>/<algorithm>", plus "/tile<H>x<W>" when tiled,
-/// the warp-scan name when not Kogge-Stone, "/unpadded" and "/check"
+/// "<h>x<w>/<in-out>/<algorithm>", plus "/tile<H>x<W>/fanout<F>" when
+/// tiled (the carry fanout is part of the key), the warp-scan name when not Kogge-Stone, "/unpadded" and "/check"
 /// when those ablation flags are set, and "/backend=<name>" when the
 /// requested backend is not kSim.  Deterministic (pure function of
 /// the key), so metric series and trace spans name plans identically
@@ -171,8 +171,9 @@ public:
     /// The current window's aggregate SAT (dtype = Options::dtypes.out);
     /// rect_sum over it answers any windowed box query in four lookups.
     [[nodiscard]] AnyMatrix window_table() const;
-    /// Windowed box sum over the inclusive rectangle [y0,y1] x [x0,x1],
-    /// widened to double (integer dtypes wrap first, like rect_sum).
+    /// Windowed box sum over the inclusive rectangle [y0,y1] x [x0,x1]
+    /// clamped to the frame (0 when empty or reversed), widened to double
+    /// (integer dtypes wrap first, like rect_sum).
     [[nodiscard]] double window_sum(std::int64_t y0, std::int64_t x0,
                                     std::int64_t y1, std::int64_t x1) const;
 

@@ -195,4 +195,40 @@ using NativeBlockProgram = std::function<void(NativeBlockCtx&)>;
                                         LaunchConfig cfg,
                                         const NativeBlockProgram& program);
 
+namespace detail {
+
+/// The simulator's coroutine around a barrier-free warp body.  It holds
+/// `body` by reference: launch_warps keeps the body alive until the
+/// launch, and with it every coroutine, has finished.
+template <typename Body>
+KernelTask warp_body_task(WarpCtx& w, const Body& body)
+{
+    body(w);
+    co_return;
+}
+
+} // namespace detail
+
+/// Launch a barrier-free kernel written once as a per-warp body: `body(w)`
+/// is called with a WarpCtx& on the simulator (one coroutine per warp,
+/// counted and checked like any kernel) and with a NativeWarpCtx& on the
+/// native backend (`native`), where each block runs its warps in order.
+/// A body without barriers has no cross-warp phase, so warp order is
+/// irrelevant and both lowerings are observably the same.  Bodies with
+/// barriers keep their own phase-major native block functions.
+template <typename Body>
+LaunchStats launch_warps(Engine& eng, const KernelInfo& info,
+                         LaunchConfig cfg, bool native, const Body& body)
+{
+    if (native)
+        return native_launch(eng, info, cfg, [&body](NativeBlockCtx& blk) {
+            const int wc = blk.warps_per_block();
+            for (int wid = 0; wid < wc; ++wid)
+                body(blk.warp(wid));
+        });
+    return eng.launch(info, cfg, [&body](WarpCtx& w) {
+        return detail::warp_body_task(w, body);
+    });
+}
+
 } // namespace satgpu::simt

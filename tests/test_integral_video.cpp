@@ -377,6 +377,32 @@ TEST(StreamSession, PushQueryAndObservabilityThroughService)
     EXPECT_EQ(trace.wave_count(), 5u);
 }
 
+TEST(StreamSession, WindowSumClampsOutOfRangeRectangles)
+{
+    // A query rectangle is user input: the part inside the frame is
+    // summed, and an empty or reversed rectangle sums to 0 (the rule
+    // IntegralHistogram::region follows) -- it must not abort.
+    sat::Service svc;
+    auto session = svc.open_stream({.height = 64, .width = 64, .window = 2});
+    const auto frames = make_frames<satgpu::u8>(3, 64, 64, 77);
+    for (const auto& f : frames)
+        session->push(sat::AnyMatrix(f));
+    std::vector<const Matrix<satgpu::u8>*> tail = {&frames[1], &frames[2]};
+    const auto want = sat::window_sat_serial<satgpu::u32, satgpu::u8>(
+        std::span<const Matrix<satgpu::u8>* const>(tail));
+    const auto sum = [&](std::int64_t y0, std::int64_t x0, std::int64_t y1,
+                         std::int64_t x1) {
+        return static_cast<double>(sat::rect_sum(want, y0, x0, y1, x1));
+    };
+    EXPECT_EQ(session->window_sum(0, 0, 64, 63), sum(0, 0, 63, 63));
+    EXPECT_EQ(session->window_sum(-5, 10, 20, 1000), sum(0, 10, 20, 63));
+    EXPECT_EQ(session->window_sum(3, -7, 40, 12), sum(3, 0, 40, 12));
+    EXPECT_EQ(session->window_sum(10, 10, 9, 20), 0.0);  // reversed rows
+    EXPECT_EQ(session->window_sum(10, 30, 20, 29), 0.0); // reversed cols
+    EXPECT_EQ(session->window_sum(64, 0, 70, 63), 0.0);  // wholly below
+    EXPECT_EQ(session->window_sum(-9, -9, -1, 5), 0.0);  // wholly above
+}
+
 TEST(StreamSession, RequestTrafficAndStreamsShareOneService)
 {
     sat::Service svc;

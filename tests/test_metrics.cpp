@@ -585,4 +585,19 @@ TEST(ServiceObservability, PlanKeyLabelIsDeterministicAndDistinct)
     auto k = key(48, 32);
     k.check = true;
     EXPECT_NE(sat::plan_key_label(k).find("/check"), std::string::npos);
+
+    // Tiled keys that differ only in carry fanout are distinct cache
+    // entries, so they must not share one metric or trace series.
+    auto fan1 = key(512, 512);
+    fan1.tile = {128, 128, 1};
+    auto fan4 = fan1;
+    fan4.tile.carry_fanout = 4;
+    ASSERT_NE(fan1, fan4);
+    EXPECT_NE(sat::plan_key_label(fan1), sat::plan_key_label(fan4));
+    EXPECT_NE(sat::plan_key_label(fan4).find("/tile128x128/fanout4"),
+              std::string::npos)
+        << sat::plan_key_label(fan4);
+    // Untiled labels carry no fanout.
+    EXPECT_EQ(sat::plan_key_label(key(48, 32)).find("fanout"),
+              std::string::npos);
 }

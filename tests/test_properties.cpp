@@ -295,7 +295,7 @@ TEST(IntegralHistogramProperties, RaggedLastBinClampsInsteadOfDropping)
 
 TEST(IntegralHistogramProperties, BatchedPlanMatchesDirectCountAcrossBinSweep)
 {
-    // The bin-major batched build (one fused grid.z = bins mask launch +
+    // The bin-major batched build (one bin-mask launch for all bins +
     // one execute_wave) must hold, per bin, the serial SAT of a host-built
     // bin mask, and count exactly the pixels a direct loop counts on a few
     // rectangles including clamped/full ones -- for dividing and ragged

@@ -10,6 +10,7 @@
 #include "core/random_fill.hpp"
 #include "model/cost_model.hpp"
 #include "sat/cpu_reference.hpp"
+#include "sat/integral_histogram.hpp"
 #include "sat/query.hpp"
 #include "sat/runtime.hpp"
 #include "sat/service.hpp"
@@ -193,10 +194,111 @@ TEST(QueryRuntime, EveryPaperPairServesNonHistQueries)
 TEST(QueryRuntime, LargeHaloStillExactWhenItSwallowsTheTile)
 {
     // r=70 halo > the 64x64 tile: every extended tile is most of the
-    // image, and extended widths exceed one block's warp span, forcing
-    // the multi-kernel local-SAT fallback inside the fused path.
+    // 97x130 image.  Extended tiles stay at most 130 columns wide, so the
+    // single-pass tile SAT still covers them (the wide-tile fallback is
+    // FusedWideTileFallbackIsExactAndWithinWorkspace's case).
     const sat::QuerySpec q{sat::BoxFilterSpec{70}};
     expect_query_exact({Dtype::u8_, Dtype::u32_}, q, sat::QueryMode::kFused);
+}
+
+TEST(QueryRuntime, FusedWideTileFallbackIsExactAndWithinWorkspace)
+{
+    // An extended tile wider than the single-pass tile SAT covers (1024
+    // columns for 4-byte sums, 512 for 8-byte ones) takes the plan
+    // algorithm's multi-kernel local-SAT fallback inside the fused path.
+    // Its output must stay bit-exact, and its pooled build must stay
+    // within the plan's workspace_bytes, whose !fits term prices it.
+    struct Case {
+        DtypePair dt;
+        std::int64_t h, w;
+        sat::TileGeometry tile;
+        sat::QuerySpec q;
+    };
+    const Case cases[] = {
+        // First tile extends to 1024 + 8 = 1032 columns > 1024.
+        {{Dtype::u8_, Dtype::u32_}, 40, 1100, {64, 1024},
+         sat::QuerySpec{sat::BoxFilterSpec{8}}},
+        // First tile extends to 512 + 4 = 516 columns > 512.
+        {{Dtype::f64_, Dtype::f64_}, 40, 700, {32, 512},
+         sat::QuerySpec{sat::WindowSumSpec{3, 5}}},
+    };
+    for (const Case& c : cases) {
+        const auto image = sat::AnyMatrix::random(c.dt.in, c.h, c.w, 21);
+        for (const auto backend : {sat::Backend::kSim, sat::Backend::kNative}) {
+            // Fresh runtime so the partition high-water is this plan's.
+            sat::Runtime rt({.record_history = false});
+            const auto want = rt.query_reference(image, c.dt.out, c.q);
+            const auto plan = rt.plan_query(
+                {.height = c.h,
+                 .width = c.w,
+                 .dtypes = c.dt,
+                 .algorithm = sat::Algorithm::kBrltScanRow,
+                 .tile = c.tile,
+                 .backend = backend,
+                 .query = c.q,
+                 .query_mode = sat::QueryMode::kFused});
+            ASSERT_TRUE(plan.query_fused());
+            ASSERT_EQ(plan.backend(), backend);
+            const auto res = plan.execute(image);
+            EXPECT_TRUE(res.table == want)
+                << sat::query_label(c.q) << " " << pair_name(c.dt) << " "
+                << sat::to_string(backend);
+            EXPECT_LE(rt.pool().high_water_bytes(/*partition=*/0),
+                      static_cast<std::uint64_t>(plan.workspace_bytes()))
+                << sat::query_label(c.q) << " " << sat::to_string(backend);
+            // The fallback runs the plan algorithm's kernels.
+            bool fallback = false;
+            for (const auto& l : res.launches)
+                fallback = fallback || l.info.name == "brlt_scanrow";
+            EXPECT_TRUE(fallback)
+                << sat::query_label(c.q) << " " << sat::to_string(backend);
+        }
+    }
+}
+
+TEST(QueryHistogram, RegionQueryEqualsIntegralHistogramRegion)
+{
+    // Both histogram APIs bin with bin_of through one bin-mask kernel, so
+    // for dividing and ragged bin counts the region-histogram query at
+    // every pixel equals IntegralHistogram::region over that pixel's
+    // clamped window, and both equal the serial oracle -- fused and
+    // materialized, on the simulator and natively.
+    const std::int64_t h = 45, w = 71, r = 3;
+    Matrix<satgpu::u8> img(h, w);
+    satgpu::fill_random(img, 4242, satgpu::u8{0}, satgpu::u8{255});
+    const sat::AnyMatrix image(img);
+    sat::Runtime& rt = shared_runtime();
+    for (const int bins : {5, 8, 48}) {
+        const sat::RegionHistogramSpec spec{bins, r};
+        const auto oracle = sat::query_serial_hist(img, spec);
+        const auto ih = sat::integral_histogram_batched(rt, img, bins);
+        for (std::int64_t y = 0; y < h; ++y)
+            for (std::int64_t x = 0; x < w; ++x) {
+                const auto counts = ih.region(y - r, x - r, y + r, x + r);
+                for (int b = 0; b < bins; ++b)
+                    ASSERT_EQ(counts[static_cast<std::size_t>(b)],
+                              oracle(std::int64_t{b} * h + y, x))
+                        << bins << " bins, bin " << b << " at " << y << ","
+                        << x;
+            }
+        for (const auto backend : {sat::Backend::kSim, sat::Backend::kNative})
+            for (const auto mode :
+                 {sat::QueryMode::kFused, sat::QueryMode::kMaterialize}) {
+                const auto plan = rt.plan_query({.height = h,
+                                                 .width = w,
+                                                 .dtypes = {Dtype::u8_,
+                                                            Dtype::u32_},
+                                                 .tile = {32, 32},
+                                                 .backend = backend,
+                                                 .query = spec,
+                                                 .query_mode = mode});
+                ASSERT_EQ(plan.backend(), backend);
+                EXPECT_TRUE(plan.execute(image).table.as<satgpu::u32>() ==
+                            oracle)
+                    << bins << " bins " << sat::to_string(mode) << " "
+                    << sat::to_string(backend);
+            }
+    }
 }
 
 // ------------------------------------------------------- kAuto resolution ----
@@ -308,7 +410,7 @@ TEST(QueryNative, FusedMatchesOracleOnEveryEdgeCase)
 {
     // Every spec, fused on the native backend, against the serial oracle:
     // degenerate and ragged shapes, radii from 0 to larger than a tile
-    // (r = 70 takes the multi-kernel fallback), anchored windows that hang
+    // (r = 70: halo-dominated extended tiles), anchored windows that hang
     // off the right and bottom edges, and a small and the default tile.
     // Together they hit the ring's zero column and zero row (the -1
     // corner) on the top/left image edges and the clamped corners on the

@@ -201,7 +201,9 @@ sat::QuerySpec sample_query(std::uint64_t seed, DtypePair pair)
         return sat::WindowSumSpec{wh, ww};
     }
     if (kind == 3 && pair.in == Dtype::u8_ && pair.out == Dtype::u32_) {
-        constexpr int kBins[] = {2, 4, 8, 16};
+        // 3 and 48 do not divide 256: their top bin absorbs the ragged
+        // remainder (bin_of).
+        constexpr int kBins[] = {2, 3, 4, 8, 16, 48};
         return sat::RegionHistogramSpec{
             kBins[std::uniform_int_distribution<std::size_t>(
                 0, std::size(kBins) - 1)(rng)],
