@@ -26,6 +26,7 @@
 #include "sat/query_spec.hpp"
 #include "sat/tiled.hpp"
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -242,7 +243,8 @@ template <typename Tsat>
 /// Phase A of one slab, shared by both lowerings: load the register tile,
 /// row-scan it within the chunk, and deposit the per-row chunk totals
 /// (register lane 31) into this warp's row of the block_carry staging
-/// matrix via masked single-lane stores.  Chunks beyond the tile width (a
+/// matrix (SmemView::store_column: 32 single-lane stores when
+/// instrumented, one row store natively).  Chunks beyond the tile width (a
 /// narrower tile in a launch sized for a wider one) deposit zeros so the
 /// barrier protocol holds for every warp.
 template <typename Tsat, typename Tin, typename W>
@@ -261,11 +263,8 @@ void tile_sat_slab_load(W& w, const TileSatJob<Tsat, Tin>& job,
     const int wc = w.warps_per_block();
     auto sm = w.template smem_alloc<Tsat>(
         "carry.partials", static_cast<std::int64_t>(wc) * kWarpSize);
-    constexpr LaneMask kLane31 = LaneMask{1} << (kWarpSize - 1);
-    for (int r = 0; r < kWarpSize; ++r)
-        sm.store(LaneVec<std::int64_t>::broadcast(
-                     std::int64_t{w.warp_id()} * kWarpSize + r),
-                 regs[static_cast<std::size_t>(r)], kLane31);
+    sm.store_column(std::int64_t{w.warp_id()} * kWarpSize, regs,
+                    kWarpSize - 1);
 }
 
 /// Phase B of one slab (after block_carry_scan has run and been
@@ -285,12 +284,12 @@ void tile_sat_slab_finish(W& w, const TileSatJob<Tsat, Tin>& job,
     if (cols == 0)
         return; // idle chunk: nothing to scan or store
     // exclusive[r] is row r's carry from the chunks to the left; broadcast
-    // it across the row's lanes.
-    for (int r = 0; r < kWarpSize; ++r) {
-        const auto row_carry = simt::shfl(exclusive, r);
-        regs[static_cast<std::size_t>(r)] = simt::vadd_where(
-            cols, regs[static_cast<std::size_t>(r)], row_carry);
-    }
+    // it across the row's lanes (32 shuffles when instrumented).
+    RegTile<Tsat> row_carry;
+    simt::shfl_each_lane(exclusive, std::span<LaneVec<Tsat>, kWarpSize>(
+                                        row_carry));
+    for (std::size_t r = 0; r < kWarpSize; ++r)
+        regs[r] = simt::vadd_where(cols, regs[r], row_carry[r]);
     scan::serial_scan_registers(regs);
     const auto slab_total = regs[kWarpSize - 1];
     apply_chunk_offset(regs, LaneVec<Tsat>{}, col_carry, slab_total);
@@ -342,14 +341,15 @@ void query_tile_sat_block_native(simt::NativeBlockCtx& blk,
     }
 }
 
-/// Launch the single-pass tile-SAT kernel for a group of extended tiles
-/// (one block each, one warp per 32-column chunk of the widest tile).
-/// Every job must satisfy tile_sat_fits.
+/// Launch the single-pass tile-SAT kernel on the simulator for a group of
+/// extended tiles (one block each, one warp per 32-column chunk of the
+/// widest tile).  Every job must satisfy tile_sat_fits.  Natively the
+/// same phases run inside launch_query_fused_native's blocks.
 template <typename Tsat, typename Tin>
 [[nodiscard]] simt::LaunchStats
 launch_query_tile_sat(simt::Engine& eng,
                       std::span<const TileSatJob<Tsat, Tin>> jobs,
-                      scan::WarpScanKind kind, bool native)
+                      scan::WarpScanKind kind)
 {
     std::int64_t max_w = 1;
     for (const auto& j : jobs) {
@@ -362,14 +362,6 @@ launch_query_tile_sat(simt::Engine& eng,
         block_carry_smem_bytes<Tsat>(wc)};
     const simt::LaunchConfig cfg{
         {static_cast<std::int64_t>(jobs.size()), 1, 1}, {kWarpSize, wc, 1}};
-    if (native)
-        return simt::native_launch(
-            eng, info, cfg, [&](simt::NativeBlockCtx& blk) {
-                query_tile_sat_block_native(
-                    blk,
-                    jobs[static_cast<std::size_t>(blk.block_idx().x)],
-                    kind);
-            });
     return eng.launch(info, cfg, [&](simt::WarpCtx& w) {
         return query_tile_sat_warp(
             w, jobs[static_cast<std::size_t>(w.block_idx().x)], kind);
@@ -795,6 +787,128 @@ template <typename Spec>
     }
 }
 
+// ---- Native one-launch schedule ------------------------------------------
+//
+// Natively a fused query is one launch with one block per macro-tile.
+// Block t copies its halo-extended rect into its executor slot's staging
+// set, builds the local SAT with query_tile_sat's phases, and consumes it
+// band by band with query_consumer_body -- for a histogram once per bin,
+// masking the staged tile first.  The tile's data never leaves the core
+// that staged it, and a call leases one staging set per slot instead of
+// one per tile.
+
+/// One executor slot's staging for launch_query_fused_native, each buffer
+/// sized for the largest extended tile the launch runs.
+template <typename Tsat, typename Tin>
+struct SlotStaging {
+    simt::BufferPool::Lease<Tin> in;
+    simt::BufferPool::Lease<Tsat> sat;
+    simt::BufferPool::Lease<u8> mask; // histogram only
+};
+
+/// Staging sets a native fused call over `tiles` tiles leases: one per
+/// executor slot the launch can use.
+[[nodiscard]] inline std::int64_t fused_native_slots(int threads,
+                                                     std::int64_t tiles)
+{
+    return std::min<std::int64_t>(threads, tiles);
+}
+
+/// Run every tile of `grid` whose extended width fits tile_sat_fits as
+/// one native launch (grid.x = tile), writing `out`.  Tiles too wide for
+/// it exit at once; the caller runs them on the grouped schedule.
+/// Returns nullopt, launching nothing, when no tile fits.
+template <typename Tsat, typename Spec, typename Tin, typename Tout>
+[[nodiscard]] std::optional<simt::LaunchStats> launch_query_fused_native(
+    simt::Engine& eng, const Matrix<Tin>& image, const Spec& spec,
+    const TileGrid& grid, const QueryHalo& halo,
+    simt::DeviceBuffer<Tout>& out, const Options& opt)
+{
+    const std::int64_t h = image.height(), w = image.width();
+    const auto ext_of = [&](std::int64_t t) {
+        return extend_rect(grid.rect(t / grid.cols(), t % grid.cols()), halo,
+                           h, w);
+    };
+    // Largest fitting extended rect: widths vary by tile column, heights
+    // by tile row.
+    std::int64_t eh = 0, ew = 0;
+    for (std::int64_t tj = 0; tj < grid.cols(); ++tj) {
+        const std::int64_t e = ext_of(tj).w;
+        if (tile_sat_fits<Tsat>(e))
+            ew = std::max(ew, e);
+    }
+    if (ew == 0)
+        return std::nullopt;
+    for (std::int64_t ti = 0; ti < grid.rows(); ++ti)
+        eh = std::max(eh, ext_of(ti * grid.cols()).h);
+
+    constexpr bool kHist = std::is_same_v<Spec, RegionHistogramSpec>;
+    std::vector<SlotStaging<Tsat, Tin>> staging(static_cast<std::size_t>(
+        fused_native_slots(eng.threads(), grid.count())));
+    for (auto& st : staging) {
+        st.in = simt::acquire_or_new<Tin>(opt.pool, eh * ew,
+                                          opt.pool_partition);
+        st.sat = simt::acquire_or_new<Tsat>(opt.pool, eh * ew,
+                                            opt.pool_partition);
+        if constexpr (kHist)
+            st.mask = simt::acquire_or_new<u8>(opt.pool, eh * ew,
+                                               opt.pool_partition);
+    }
+
+    const int wc = static_cast<int>(ceil_div(ew, std::int64_t{kWarpSize}));
+    const simt::KernelInfo info{"query_fused", regs_per_thread<Tsat>(),
+                                block_carry_smem_bytes<Tsat>(wc)};
+    const simt::LaunchConfig cfg{{grid.count(), 1, 1}, {kWarpSize, wc, 1}};
+    return simt::native_launch(
+        eng, info, cfg, [&](simt::NativeBlockCtx& blk) {
+            const std::int64_t t = blk.block_idx().x;
+            const auto rect = grid.rect(t / grid.cols(), t % grid.cols());
+            const ExtRect ext = extend_rect(rect, halo, h, w);
+            if (!tile_sat_fits<Tsat>(ext.w))
+                return;
+            const auto slot = static_cast<std::size_t>(blk.slot());
+            SATGPU_EXPECTS(slot < staging.size());
+            auto& st = staging[slot];
+            const auto in = st.in->host();
+            for (std::int64_t y = 0; y < ext.h; ++y)
+                std::copy_n(image.row(ext.y0 + y).data() + ext.x0, ext.w,
+                            in.data() + y * ext.w);
+            const auto build_and_consume =
+                [&]<typename Tsrc>(const simt::DeviceBuffer<Tsrc>& src,
+                                   std::int64_t out_row0) {
+                    query_tile_sat_block_native(
+                        blk,
+                        TileSatJob<Tsat, Tsrc>{&src, &*st.sat, ext.h, ext.w},
+                        opt.warp_scan);
+                    const ConsumerJob<Tsat, Tin, Tout> job{
+                        &*st.sat, &*st.in, &out, h, w, rect, ext, out_row0};
+                    const std::int64_t bands =
+                        ceil_div(rect.w, std::int64_t{kWarpSize});
+                    for (std::int64_t b = 0; b < bands; ++b) {
+                        const ConsumerBand band = consumer_band(job, spec, b);
+                        query_consumer_body(
+                            job, spec, band,
+                            blk.scratch<Tsat>(static_cast<std::size_t>(
+                                band.ring_elems())));
+                    }
+                };
+            if constexpr (kHist) {
+                const auto mask = st.mask->host();
+                for (int b = 0; b < spec.bins; ++b) {
+                    for (std::int64_t i = 0; i < ext.h * ext.w; ++i)
+                        mask[static_cast<std::size_t>(i)] =
+                            bin_of(in[static_cast<std::size_t>(i)],
+                                   spec.bins) == b
+                                ? u8{1}
+                                : u8{0};
+                    build_and_consume(*st.mask, std::int64_t{b} * h);
+                }
+            } else {
+                build_and_consume(*st.in, 0);
+            }
+        });
+}
+
 /// Backend for the multi-kernel fallback local SATs inside the fused
 /// path: native only when the plan's algorithm has a native lowering.
 [[nodiscard]] inline Options fallback_options(const Options& opt)
@@ -814,9 +928,12 @@ template <typename Spec>
 /// in place (single-pass kernel, or the plan algorithm's multi-kernel path
 /// when the extended tile is too wide -- see docs/fused_queries.md's
 /// fallback matrix), and immediately run the consumer against it.  The
-/// global SAT never exists; pooled high-water is O(carry_fanout * extended
-/// tile area).  Bit-identical to compute_query_materialized and to
-/// query_serial for integer SAT dtypes.
+/// simulator runs groups of carry_fanout tiles, two launches per group;
+/// natively every tile the single-pass kernel covers runs in one launch
+/// (launch_query_fused_native) and only wider tiles are grouped.  The
+/// global SAT never exists; pooled high-water is O(max(carry_fanout,
+/// executor slots) * extended tile area).  Bit-identical to
+/// compute_query_materialized and to query_serial for integer SAT dtypes.
 template <typename Tsat, typename Spec, typename Tin>
 [[nodiscard]] QueryResult<detail::query_out_t<Tsat, Spec>>
 compute_query_fused(simt::Engine& eng, const Matrix<Tin>& image,
@@ -848,6 +965,13 @@ compute_query_fused(simt::Engine& eng, const Matrix<Tin>& image,
 
     QueryResult<Tout> res;
     auto out = simt::DeviceBuffer<Tout>::zeroed(eng.executor(), out_h * w);
+    constexpr bool kServable =
+        !kHist || (std::is_same_v<Tin, u8> && std::is_same_v<Tsat, u32>);
+    if constexpr (kServable)
+        if (native)
+            if (auto one = detail::launch_query_fused_native<Tsat>(
+                    eng, image, spec, grid, halo, out, opt))
+                res.launches.push_back(*one);
 
     struct Staged {
         simt::BufferPool::Lease<Tin> in;
@@ -871,17 +995,17 @@ compute_query_fused(simt::Engine& eng, const Matrix<Tin>& image,
             }
             // Fallback: the extended tile is wider than one block covers;
             // run the plan algorithm's multi-kernel local SAT instead.
-            const auto sub = (s.*member)->to_matrix(s.ext.h, s.ext.w);
-            auto local =
-                compute_sat<Tsat>(eng, sub, detail::fallback_options(opt));
-            std::copy(local.table.flat().begin(), local.table.flat().end(),
-                      s.sat->host().begin());
+            const simt::DeviceBuffer<Tsrc>* const staged[] = {&*(s.*member)};
+            auto local = compute_sat_wave_staged<Tsat, Tsrc>(
+                eng, staged, s.ext.h, s.ext.w, detail::fallback_options(opt));
+            const auto table = local.tables.front().flat();
+            std::copy(table.begin(), table.end(), s.sat->host().begin());
             for (auto& l : local.launches)
                 res.launches.push_back(std::move(l));
         }
         if (!jobs.empty())
             res.launches.push_back(detail::launch_query_tile_sat<Tsat, Tsrc>(
-                eng, jobs, opt.warp_scan, native));
+                eng, jobs, opt.warp_scan));
     };
     const auto run_consumers = [&](std::int64_t out_row0) {
         const simt::PhaseScope phase(eng, "query.consume");
@@ -924,6 +1048,8 @@ compute_query_fused(simt::Engine& eng, const Matrix<Tin>& image,
         for (std::int64_t tj = 0; tj < grid.cols(); ++tj) {
             const auto rect = grid.rect(ti, tj);
             const auto ext = detail::extend_rect(rect, halo, h, w);
+            if (kServable && native && detail::tile_sat_fits<Tsat>(ext.w))
+                continue; // ran in launch_query_fused_native
             Staged s{simt::acquire_or_new<Tin>(opt.pool, ext.h * ext.w,
                                                opt.pool_partition),
                      simt::acquire_or_new<Tsat>(opt.pool, ext.h * ext.w,
@@ -1000,11 +1126,14 @@ compute_query_materialized(simt::Engine& eng, const Matrix<Tin>& image,
             res.launches.push_back(detail::launch_bin_mask(
                 eng, std::span<const detail::BinMaskJob>(&mjob, 1),
                 spec.bins, native));
-            auto sat = compute_sat<Tsat>(eng, mask->to_matrix(h, w), opt);
+            // The SAT build reads the pooled mask in place.
+            const simt::DeviceBuffer<u8>* const staged[] = {&*mask};
+            auto sat = compute_sat_wave_staged<Tsat, u8>(eng, staged, h, w,
+                                                         opt);
             for (auto& l : sat.launches)
                 res.launches.push_back(std::move(l));
-            consume(std::move(sat.table), nullptr, std::int64_t{b} * h,
-                    out);
+            consume(std::move(sat.tables.front()), nullptr,
+                    std::int64_t{b} * h, out);
         }
         res.out =
             std::move(out).release_matrix(std::int64_t{spec.bins} * h, w);

@@ -510,19 +510,25 @@ Plan Runtime::plan(const PlanRequest& req_in)
             std::holds_alternative<RegionHistogramSpec>(req.query);
         const std::int64_t mask_bytes = hist ? 1 : 0;
         if (query_fused) {
-            // carry_fanout staging groups, each holding one halo-extended
-            // tile's source, local SAT, and (histogram) bin mask.
+            // Staging sets, each holding one halo-extended tile's source,
+            // local SAT, and (histogram) bin mask: carry_fanout groups on
+            // the simulator; natively one set per executor slot for the
+            // one-launch schedule, released before any wide-tile groups
+            // lease theirs.
             const QueryHalo halo = query_halo(req.query);
             const std::int64_t eh = std::min(
                 req.height, req.tile.tile_h + halo.top + halo.bottom);
             const std::int64_t ew = std::min(
                 req.width, req.tile.tile_w + halo.left + halo.right);
-            const std::int64_t fanout =
-                std::max(1, req.tile.carry_fanout);
+            std::int64_t sets = std::max(1, req.tile.carry_fanout);
+            if (p.backend_ == Backend::kNative)
+                sets = std::max(sets, detail::fused_native_slots(
+                                          eng_.threads(), grid->count()));
             p.workspace_bytes_ =
-                fanout * eh * ew * (in_bytes + out_bytes + mask_bytes);
+                sets * eh * ew * (in_bytes + out_bytes + mask_bytes);
             // Extended tiles wider than one block's warp span fall back to
-            // a pooled multi-kernel local-SAT build per staged tile.
+            // a multi-kernel local-SAT build per staged tile, which reads
+            // the staged tile in place and leases only its scratch.
             const bool fits = visit_paper_pair(
                 req.dtypes, [&]<typename Tin, typename Tout>(
                                 std::type_identity<Tin>,
@@ -530,15 +536,16 @@ Plan Runtime::plan(const PlanRequest& req_in)
                     return detail::tile_sat_fits<Tout>(ew);
                 });
             if (!fits)
-                p.workspace_bytes_ += per_image_bytes(eh, ew);
+                p.workspace_bytes_ +=
+                    eh * ew * scratch_images(p.resolved_) * out_bytes;
         } else {
             // Materialize-then-consume: the full SAT build's staging and
-            // scratch, plus the staged input (threshold) or image and bin
-            // mask (histogram) held across it.  The table itself is the
-            // build's unpooled result, which the gather reads in place.
-            p.workspace_bytes_ =
-                per_image_bytes(req.height, req.width) +
-                req.height * req.width * (in_bytes + mask_bytes);
+            // scratch, plus the staged input (threshold) or image
+            // (histogram) held across it; a histogram's pooled bin mask
+            // is its build's staging.  The table itself is the build's
+            // unpooled result, which the gather reads in place.
+            p.workspace_bytes_ = per_image_bytes(req.height, req.width) +
+                                 req.height * req.width * in_bytes;
         }
         return p;
     }

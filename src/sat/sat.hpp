@@ -262,30 +262,20 @@ struct ResultSet {
 
 } // namespace detail
 
-/// Compute the inclusive SATs of K same-shaped images in one fused WAVE:
-/// every kernel pass of the chosen algorithm runs once with grid.z = K
-/// instead of K times, so the (modeled) fixed per-launch overhead is paid
-/// once per pass rather than once per image -- the request-coalescing lever
-/// the service layer uses.  Each fused block executes exactly like the
-/// corresponding block of a single-image launch (kernels never read
-/// block_idx().z), so every table is bit-identical to compute_sat on that
-/// image alone.  The input staging and scratch buffers come from
-/// Options::pool when one is set; a wave holds K workspaces concurrently,
-/// which is why service plans get their own pool partition.  The last pass
-/// writes K fresh buffers that become the returned tables without a copy,
-/// so each table owns its storage.
+/// compute_sat_wave's body over inputs already staged on the device: K
+/// buffers, each holding an h x w image row-major in its first h * w
+/// elements (e.g. a pooled bin mask or a staged query tile).  Runs the
+/// same launches and scratch leases as compute_sat_wave, without copying
+/// the inputs again.
 template <typename Tout, typename Tin>
-[[nodiscard]] SatWaveResult<Tout>
-compute_sat_wave(simt::Engine& eng,
-                 std::span<const Matrix<Tin>* const> images, Options opt = {})
+[[nodiscard]] SatWaveResult<Tout> compute_sat_wave_staged(
+    simt::Engine& eng, std::span<const simt::DeviceBuffer<Tin>* const> ins,
+    std::int64_t h, std::int64_t w, const Options& opt)
 {
-    const std::size_t k = images.size();
-    SATGPU_EXPECTS(k > 0);
-    const std::int64_t h = images[0]->height();
-    const std::int64_t w = images[0]->width();
-    SATGPU_EXPECTS(h > 0 && w > 0);
-    for (const Matrix<Tin>* img : images)
-        SATGPU_EXPECTS(img->height() == h && img->width() == w);
+    const std::size_t k = ins.size();
+    SATGPU_EXPECTS(k > 0 && h > 0 && w > 0);
+    for (const simt::DeviceBuffer<Tin>* in : ins)
+        SATGPU_EXPECTS(in->size() >= h * w);
     const simt::CheckScope check_scope(eng, opt.check);
     const simt::ProfileEnableScope profile_scope(eng, opt.profile);
     const bool native = opt.backend == Backend::kNative;
@@ -295,18 +285,6 @@ compute_sat_wave(simt::Engine& eng,
         SATGPU_CHECK(!opt.check && !opt.profile,
                      "the native backend carries no instrumentation; "
                      "check/profile need Backend::kSim");
-    }
-
-    std::vector<simt::BufferPool::Lease<Tin>> in_leases;
-    in_leases.reserve(k);
-    std::vector<const simt::DeviceBuffer<Tin>*> ins;
-    ins.reserve(k);
-    for (const Matrix<Tin>* img : images) {
-        in_leases.push_back(
-            simt::acquire_or_new<Tin>(opt.pool, h * w, opt.pool_partition));
-        std::copy(img->flat().begin(), img->flat().end(),
-                  in_leases.back()->host().begin());
-        ins.push_back(&*in_leases.back());
     }
     const auto scratch = [&](std::int64_t count) {
         return detail::ScratchSet<Tout>(opt, k, count);
@@ -389,6 +367,45 @@ compute_sat_wave(simt::Engine& eng,
     }
     res.tables = std::move(out).release(h, w);
     return res;
+}
+
+/// Compute the inclusive SATs of K same-shaped images in one fused WAVE:
+/// every kernel pass of the chosen algorithm runs once with grid.z = K
+/// instead of K times, so the (modeled) fixed per-launch overhead is paid
+/// once per pass rather than once per image -- the request-coalescing lever
+/// the service layer uses.  Each fused block executes exactly like the
+/// corresponding block of a single-image launch (kernels never read
+/// block_idx().z), so every table is bit-identical to compute_sat on that
+/// image alone.  The input staging and scratch buffers come from
+/// Options::pool when one is set; a wave holds K workspaces concurrently,
+/// which is why service plans get their own pool partition.  The last pass
+/// writes K fresh buffers that become the returned tables without a copy,
+/// so each table owns its storage.
+template <typename Tout, typename Tin>
+[[nodiscard]] SatWaveResult<Tout>
+compute_sat_wave(simt::Engine& eng,
+                 std::span<const Matrix<Tin>* const> images, Options opt = {})
+{
+    const std::size_t k = images.size();
+    SATGPU_EXPECTS(k > 0);
+    const std::int64_t h = images[0]->height();
+    const std::int64_t w = images[0]->width();
+    SATGPU_EXPECTS(h > 0 && w > 0);
+    for (const Matrix<Tin>* img : images)
+        SATGPU_EXPECTS(img->height() == h && img->width() == w);
+
+    std::vector<simt::BufferPool::Lease<Tin>> in_leases;
+    in_leases.reserve(k);
+    std::vector<const simt::DeviceBuffer<Tin>*> ins;
+    ins.reserve(k);
+    for (const Matrix<Tin>* img : images) {
+        in_leases.push_back(
+            simt::acquire_or_new<Tin>(opt.pool, h * w, opt.pool_partition));
+        std::copy(img->flat().begin(), img->flat().end(),
+                  in_leases.back()->host().begin());
+        ins.push_back(&*in_leases.back());
+    }
+    return compute_sat_wave_staged<Tout, Tin>(eng, ins, h, w, opt);
 }
 
 /// Compute the inclusive SAT of `image` on the simulated GPU -- a K = 1

@@ -16,8 +16,8 @@ thread_local const BlockExecutor* t_running = nullptr;
 } // namespace
 
 struct BlockExecutor::Slot {
-    explicit Slot(std::int64_t smem_capacity_bytes)
-        : native(smem_capacity_bytes)
+    Slot(std::int64_t smem_capacity_bytes, int index)
+        : native(smem_capacity_bytes, index)
     {
     }
 
@@ -31,7 +31,7 @@ BlockExecutor::BlockExecutor(int slots, std::int64_t smem_capacity_bytes)
     SATGPU_EXPECTS(slots >= 1);
     slots_.reserve(static_cast<std::size_t>(slots));
     for (int i = 0; i < slots; ++i)
-        slots_.push_back(std::make_unique<Slot>(smem_capacity_bytes));
+        slots_.push_back(std::make_unique<Slot>(smem_capacity_bytes, i));
     for (int i = 1; i < slots; ++i)
         slots_[static_cast<std::size_t>(i)]->thread =
             std::thread([this, i] { worker_loop(i); });

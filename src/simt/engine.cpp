@@ -191,11 +191,16 @@ Engine::Engine(Options opt) : opt_(opt) {}
 
 Engine::~Engine() = default;
 
+int Engine::threads() const noexcept
+{
+    return resolve_threads(opt_.num_threads);
+}
+
 BlockExecutor& Engine::executor()
 {
     if (!executor_)
         executor_ = std::make_unique<BlockExecutor>(
-            resolve_threads(opt_.num_threads), opt_.smem_capacity_bytes);
+            threads(), opt_.smem_capacity_bytes);
     return *executor_;
 }
 
@@ -213,7 +218,7 @@ LaunchStats Engine::launch(const KernelInfo& info, LaunchConfig cfg,
 
     const std::int64_t total = cfg.total_blocks();
     const int threads = static_cast<int>(
-        std::min<std::int64_t>(resolve_threads(opt_.num_threads), total));
+        std::min<std::int64_t>(this->threads(), total));
 
     const std::uint64_t epoch = new_launch_epoch();
 

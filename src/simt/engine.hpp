@@ -146,6 +146,10 @@ public:
     /// launch) and joined when the engine is destroyed.
     [[nodiscard]] BlockExecutor& executor();
 
+    /// executor()'s slot count -- Options::num_threads with 0 resolved to
+    /// the hardware concurrency -- known without starting the executor.
+    [[nodiscard]] int threads() const noexcept;
+
     /// Toggle the hazard checker for subsequent launches (Options::check).
     /// Not synchronized against an in-flight launch; callers flip it only
     /// between launches (see CheckScope).

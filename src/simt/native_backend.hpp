@@ -96,8 +96,8 @@ private:
 /// simulator's per-block state.
 class NativeBlockCtx {
 public:
-    explicit NativeBlockCtx(std::int64_t smem_capacity_bytes)
-        : smem_(smem_capacity_bytes)
+    NativeBlockCtx(std::int64_t smem_capacity_bytes, int slot)
+        : smem_(smem_capacity_bytes), slot_(slot)
     {
     }
     // The warp contexts point at smem_.
@@ -132,6 +132,11 @@ public:
     {
         return smem_.bytes_used();
     }
+    /// Index of the executor slot running this block, in [0, the number
+    /// of slots the launch uses): a launch's blocks may key per-slot
+    /// resources (e.g. pooled staging buffers) by it, since a slot runs
+    /// one block at a time.
+    [[nodiscard]] int slot() const noexcept { return slot_; }
 
     /// `n` values of T -- a block program's hoisted register or cache
     /// state -- in storage reused across blocks and launches (it only ever
@@ -165,6 +170,7 @@ public:
 
 private:
     SharedMemory smem_;
+    int slot_;
     std::vector<NativeWarpCtx> warps_;
     std::vector<std::max_align_t> scratch_;
 };
@@ -178,7 +184,9 @@ using NativeBlockProgram = std::function<void(NativeBlockCtx&)>;
 /// Execute `program` for every block of `cfg` on `eng`'s persistent
 /// BlockExecutor (work-stealing over linear block indices;
 /// `Options::num_threads` slots, 0 = hardware concurrency; slot 0 is the
-/// calling thread).  No block sees a counter sink, profiler, hazard
+/// calling thread).  A launch of B blocks runs on the first
+/// min(Engine::threads(), B) slots, so NativeBlockCtx::slot() stays
+/// below that.  No block sees a counter sink, profiler, hazard
 /// checker or block identity: the caller's are hidden for the launch, a
 /// worker thread never has one installed between jobs, and each job checks
 /// so when it starts.

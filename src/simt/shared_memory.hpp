@@ -267,6 +267,31 @@ public:
               site);
     }
 
+    /// Tile-shaped single-lane store: element first + j = tile[j][lane]
+    /// for j < 32, i.e. one lane's column of a register tile written to
+    /// consecutive elements (the tile SAT's per-row chunk totals).
+    /// Instrumented, it IS the 32 single-lane stores
+    /// store(broadcast(first + j), tile[j], 1 << lane) (same counters,
+    /// hazard records and profiler site); uninstrumented, the column is
+    /// gathered and written by one store_row.
+    void store_column(std::int64_t first,
+                      std::span<const LaneVec<T>, kWarpSize> tile, int lane,
+                      std::source_location site = SATGPU_SITE)
+    {
+        SATGPU_EXPECTS(lane >= 0 && lane < kWarpSize);
+        if (uninstrumented()) {
+            LaneVec<T> col;
+            for (int j = 0; j < kWarpSize; ++j)
+                col.set(j, tile[static_cast<std::size_t>(j)].get(lane));
+            store_row(first, col);
+            return;
+        }
+        const LaneMask one = LaneMask{1} << lane;
+        for (int j = 0; j < kWarpSize; ++j)
+            store(LaneVec<std::int64_t>::broadcast(first + j),
+                  tile[static_cast<std::size_t>(j)], one, site);
+    }
+
     /// Warp-wide CONTIGUOUS load: lane l reads element first + l (see
     /// store_row; load_strided with stride 1).
     [[nodiscard]] LaneVec<T> load_row(std::int64_t first,

@@ -17,6 +17,7 @@
 #include "simt/lane_vec.hpp"
 
 #include <source_location>
+#include <span>
 
 namespace satgpu::simt {
 
@@ -114,6 +115,27 @@ template <typename T>
         r.set(l, v.get(from));
     }
     return r;
+}
+
+/// Every lane of `v` broadcast across the warp: out[s] = shfl(v, s) for
+/// each s < 32 (e.g. a per-row carry spread over its row's lanes).
+/// Instrumented, it IS those 32 full-warp shfl calls (same counters and
+/// hazard checks); uninstrumented, 32 LaneVec::broadcast of v's lanes.
+template <typename T>
+void shfl_each_lane(const LaneVec<T>& v,
+                    std::span<LaneVec<T>, kWarpSize> out,
+                    std::source_location site = SATGPU_SITE)
+{
+    if (current_counters() == nullptr &&
+        current_hazard_checker() == nullptr) {
+        for (int s = 0; s < kWarpSize; ++s)
+            out[static_cast<std::size_t>(s)] =
+                LaneVec<T>::broadcast(v.get(s));
+        return;
+    }
+    for (int s = 0; s < kWarpSize; ++s)
+        out[static_cast<std::size_t>(s)] =
+            shfl(v, s, kWarpSize, kFullMask, site);
 }
 
 /// __shfl_xor_sync: lane l receives lane l ^ lane_mask within its segment.

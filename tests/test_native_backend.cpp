@@ -27,8 +27,10 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <random>
 #include <source_location>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -966,6 +968,84 @@ TYPED_TEST(SimdTile, SmemTransposedLoadIsItsStridedLoads)
             EXPECT_TRUE(c_tile == c_rows) << what;
         }
     }
+}
+
+TYPED_TEST(SimdTile, SmemColumnStoreIsItsSingleLaneStores)
+{
+    using T = TypeParam;
+    const auto src = seeded_tile<T>(13);
+    for (const int lane : {0, 17, 31}) {
+        for (const std::int64_t first : {0, 5, 64}) {
+            const std::string what = "lane " + std::to_string(lane) +
+                                     " first " + std::to_string(first);
+            const LaneMask one = LaneMask{1} << lane;
+            // Fast path, instrumented path and the single-lane stores it
+            // claims to be, each into its own zeroed arena.
+            const auto store = [&](int how) {
+                simt::SharedMemory smem(8 * 1024);
+                auto v = smem.alloc<T>("partials", first + 96);
+                simt::PerfCounters c;
+                {
+                    std::optional<simt::CounterScope> cs;
+                    if (how != 0)
+                        cs.emplace(c);
+                    if (how == 2)
+                        for (int j = 0; j < kWarpSize; ++j)
+                            v.store(LaneVec<std::int64_t>::broadcast(first + j),
+                                    src[static_cast<std::size_t>(j)], one);
+                    else
+                        v.store_column(first, src, lane);
+                }
+                std::vector<T> elems;
+                for (std::int64_t i = 0; i + kWarpSize <= v.size();
+                     i += kWarpSize) {
+                    const auto row = v.load_row(i);
+                    for (int l = 0; l < kWarpSize; ++l)
+                        elems.push_back(row.get(l));
+                }
+                return std::pair{elems, c};
+            };
+            const auto [fast, c_fast] = store(0);
+            const auto [counted, c_column] = store(1);
+            const auto [lanes, c_lanes] = store(2);
+            ASSERT_EQ(fast.size(), lanes.size());
+            for (std::size_t i = 0; i < fast.size(); ++i) {
+                EXPECT_EQ(bits_of(fast[i]), bits_of(lanes[i]))
+                    << what << " element " << i;
+                EXPECT_EQ(bits_of(counted[i]), bits_of(lanes[i]))
+                    << what << " element " << i << " (instrumented)";
+            }
+            EXPECT_TRUE(c_column == c_lanes) << what;
+            EXPECT_EQ(c_lanes.smem_st_req, std::uint64_t{kWarpSize});
+        }
+    }
+}
+
+TYPED_TEST(SimdTile, ShuffleEachLaneIsItsShuffles)
+{
+    using T = TypeParam;
+    const auto v = seeded_tile<T>(17)[4];
+    simt::LaneTile<T> fast{}, slow{};
+    simt::shfl_each_lane(v, std::span<LaneVec<T>, kWarpSize>(fast));
+    for (int s = 0; s < kWarpSize; ++s)
+        slow[static_cast<std::size_t>(s)] = simt::shfl(v, s);
+    expect_tiles_bits_eq(fast, slow, "shfl_each_lane");
+
+    // Instrumented, it IS the 32 shuffles.
+    simt::PerfCounters c_each, c_shfl;
+    {
+        simt::CounterScope cs(c_each);
+        simt::LaneTile<T> t{};
+        simt::shfl_each_lane(v, std::span<LaneVec<T>, kWarpSize>(t));
+        expect_tiles_bits_eq(t, slow, "shfl_each_lane (instrumented)");
+    }
+    {
+        simt::CounterScope cs(c_shfl);
+        for (int s = 0; s < kWarpSize; ++s)
+            (void)simt::shfl(v, s);
+    }
+    EXPECT_TRUE(c_each == c_shfl);
+    EXPECT_EQ(c_each.warp_shfl, std::uint64_t{kWarpSize});
 }
 
 TYPED_TEST(SimdTile, TileScanMatchesPerRowScansBitExactly)

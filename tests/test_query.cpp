@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 // Counting replacement of the global allocator for this test binary: the
@@ -501,6 +502,123 @@ TEST(QueryNative, FusedConsumerAllocatesNothingPerBlock)
     // The launches computed the box filter over the whole image.
     const auto want = sat::query_serial<u32>(img, spec);
     EXPECT_EQ(std::move(out).release_matrix(kRows, kCols), want);
+}
+
+// ------------------------------------------- native one-launch schedule ----
+
+namespace {
+
+/// Box, threshold, window-sum and 5- and 48-bin histogram queries.
+std::vector<sat::QuerySpec> one_launch_specs()
+{
+    return {sat::QuerySpec{sat::BoxFilterSpec{4}},
+            sat::QuerySpec{sat::AdaptiveThresholdSpec{6, 0.9}},
+            sat::QuerySpec{sat::WindowSumSpec{5, 9}},
+            sat::QuerySpec{sat::RegionHistogramSpec{5, 3}},
+            sat::QuerySpec{sat::RegionHistogramSpec{48, 2}}};
+}
+
+sat::PlanRequest fused_request(std::int64_t h, std::int64_t w,
+                               sat::TileGeometry tile, sat::Backend backend,
+                               const sat::QuerySpec& q)
+{
+    return {.height = h,
+            .width = w,
+            .dtypes = {Dtype::u8_, Dtype::u32_},
+            .algorithm = sat::Algorithm::kBrltScanRow,
+            .tile = tile,
+            .backend = backend,
+            .query = q,
+            .query_mode = sat::QueryMode::kFused};
+}
+
+} // namespace
+
+TEST(QueryNative, OneLaunchMatchesSimulatorAndOracleAtEveryThreadCount)
+{
+    // 300 x 517 under 64 x 96 tiles: a 5 x 6 grid with ragged last rows
+    // and columns, so blocks of one launch stage extended rects of four
+    // shapes into per-slot buffers sized for the largest.  Slot counts
+    // that divide the 30 tiles and that do not (7) both run it.
+    constexpr std::int64_t h = 300, w = 517;
+    const sat::TileGeometry tile{64, 96};
+    const auto image = sat::AnyMatrix::random(Dtype::u8_, h, w, /*seed=*/31);
+    sat::Runtime sim_rt({.record_history = false});
+    std::vector<std::unique_ptr<sat::Runtime>> native_rts;
+    for (const int threads : {1, 2, 4, 7})
+        native_rts.push_back(std::make_unique<sat::Runtime>(
+            simt::Engine::Options{.record_history = false,
+                                  .num_threads = threads}));
+    for (const auto& q : one_launch_specs()) {
+        const auto want = sim_rt.query_reference(image, Dtype::u32_, q);
+        const auto sim = sim_rt.plan_query(
+            fused_request(h, w, tile, sat::Backend::kSim, q));
+        const auto sim_out = sim.execute(image).table;
+        EXPECT_TRUE(sim_out == want) << sat::query_label(q);
+        for (const auto& rt_ptr : native_rts) {
+            sat::Runtime& rt = *rt_ptr;
+            const int threads = rt.engine().options().num_threads;
+            const auto plan = rt.plan_query(
+                fused_request(h, w, tile, sat::Backend::kNative, q));
+            ASSERT_EQ(plan.backend(), sat::Backend::kNative);
+            const auto got = plan.execute(image).table;
+            EXPECT_TRUE(got == sim_out)
+                << sat::query_label(q) << " threads " << threads;
+            EXPECT_TRUE(got == want)
+                << sat::query_label(q) << " threads " << threads;
+        }
+    }
+}
+
+TEST(QueryNative, FittingTilesRunAsOneLaunchWithPooledStaging)
+{
+    // Every extended tile fits the single-pass tile SAT, so an execute is
+    // exactly one launch (histograms included: the bins loop runs inside
+    // each block), and the per-slot staging comes back from the pool on
+    // every later execute.
+    constexpr std::int64_t h = 300, w = 517;
+    const auto image = sat::AnyMatrix::random(Dtype::u8_, h, w, /*seed=*/32);
+    for (const auto& q : one_launch_specs()) {
+        sat::Runtime rt({.record_history = false, .num_threads = 3});
+        const auto plan = rt.plan_query(
+            fused_request(h, w, {64, 96}, sat::Backend::kNative, q));
+        ASSERT_EQ(plan.backend(), sat::Backend::kNative);
+        const auto first = plan.execute(image);
+        ASSERT_EQ(first.launches.size(), 1u) << sat::query_label(q);
+        EXPECT_EQ(first.launches[0].config.grid.x, 30) << sat::query_label(q);
+        const auto allocs = rt.pool().stats().allocations;
+        for (int i = 0; i < 3; ++i)
+            EXPECT_EQ(plan.execute(image).launches.size(), 1u);
+        EXPECT_EQ(rt.pool().stats().allocations, allocs)
+            << sat::query_label(q);
+        EXPECT_LE(rt.pool().high_water_bytes(/*partition=*/0),
+                  static_cast<std::uint64_t>(plan.workspace_bytes()))
+            << sat::query_label(q);
+    }
+}
+
+TEST(QueryNative, HeapAllocationsPerExecuteDoNotGrowWithTheTileCount)
+{
+    // A 4-tile and a 64-tile image allocate the same per execute: staging
+    // is one pooled set per executor slot, not a lease per tile, and the
+    // launch is one whatever the tile count.
+    const auto allocs_per_execute = [](std::int64_t side,
+                                       const sat::QuerySpec& q) {
+        sat::Runtime rt({.record_history = false, .num_threads = 1});
+        const auto plan = rt.plan_query(fused_request(
+            side, side, {64, 64}, sat::Backend::kNative, q));
+        const auto image =
+            sat::AnyMatrix::random(Dtype::u8_, side, side, /*seed=*/33);
+        (void)plan.execute(image); // warm-up: pool and block scratch grow
+        (void)plan.execute(image);
+        const std::uint64_t before = g_heap_allocs.load();
+        (void)plan.execute(image);
+        return g_heap_allocs.load() - before;
+    };
+    for (const auto& q : {sat::QuerySpec{sat::BoxFilterSpec{4}},
+                          sat::QuerySpec{sat::RegionHistogramSpec{5, 3}}})
+        EXPECT_EQ(allocs_per_execute(128, q), allocs_per_execute(512, q))
+            << sat::query_label(q);
 }
 
 TEST(QueryRuntime, WaveExecutionMatchesPerImageExecution)

@@ -11,7 +11,9 @@
 //   kind    oracle (once per input)  paths
 //   sat     sat_serial               runtime-sim, runtime-native, wave,
 //                                    wave-native, service
-//   query   query_serial             query-fused, query-materialized
+//   query   query_serial             query-fused, query-fused-native,
+//                                    query-materialized,
+//                                    query-materialized-native
 //   stream  window_sat_serial        stream-incremental, stream-recompute
 //
 // Inputs are integer-valued with a magnitude cap shrunk by image area so
@@ -469,13 +471,16 @@ Outputs run_service(const Case& k)
 }
 
 /// The case's query through one consumer path: the fused tiled pipeline
-/// (global SAT never materialized) or materialize-then-consume.  Exactness
-/// holds for float dtypes too: integer-valued fills keep every window sum
-/// exactly representable, and both paths apply the same per-pixel op.
-template <sat::QueryMode M>
+/// (global SAT never materialized) or materialize-then-consume, on one
+/// backend (a refused kNative request resolves back to the simulator, as
+/// in run_runtime).  Exactness holds for float dtypes too: integer-valued
+/// fills keep every window sum exactly representable, and both paths
+/// apply the same per-pixel op.
+template <sat::QueryMode M, sat::Backend B>
 Outputs run_query(const Case& k)
 {
     sat::PlanRequest req = plan_request(k.c);
+    req.backend = B;
     req.query = k.query;
     req.query_mode = M;
     return execute_each(runtime_for(k.c.threads).plan_query(req), k);
@@ -526,9 +531,14 @@ const Path kPaths[] = {
     {"wave", of_kind<Kind::kSat>, run_wave<sat::Backend::kSim>},
     {"wave-native", of_kind<Kind::kSat>, run_wave<sat::Backend::kNative>},
     {"service", of_kind<Kind::kSat>, run_service},
-    {"query-fused", of_kind<Kind::kQuery>, run_query<sat::QueryMode::kFused>},
+    {"query-fused", of_kind<Kind::kQuery>,
+     run_query<sat::QueryMode::kFused, sat::Backend::kSim>},
+    {"query-fused-native", of_kind<Kind::kQuery>,
+     run_query<sat::QueryMode::kFused, sat::Backend::kNative>},
     {"query-materialized", of_kind<Kind::kQuery>,
-     run_query<sat::QueryMode::kMaterialize>},
+     run_query<sat::QueryMode::kMaterialize, sat::Backend::kSim>},
+    {"query-materialized-native", of_kind<Kind::kQuery>,
+     run_query<sat::QueryMode::kMaterialize, sat::Backend::kNative>},
     {"stream-incremental", of_kind<Kind::kStream>,
      run_stream<sat::StreamUpdateMode::kIncremental>},
     {"stream-recompute", of_kind<Kind::kStream>,
