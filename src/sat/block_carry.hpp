@@ -16,7 +16,7 @@
 #include "simt/native_backend.hpp"
 #include "simt/profiler.hpp"
 
-#include <span>
+#include <tuple>
 
 namespace satgpu::sat {
 
@@ -78,7 +78,8 @@ void block_carry_gather(W& w, LaneVec<T>& exclusive, LaneVec<T>& block_total)
 
 /// After co_await: `exclusive[l]` = sum of `partial[l]` over all warps with
 /// smaller warpId, and `block_total[l]` = sum over every warp in the block.
-/// (The simulator lowering -- steps separated by real block barriers.)
+/// The SubTask form, for simulator-only kernels that co_await it; phase-list
+/// kernels use block_carry_steps below.
 template <typename T>
 simt::SubTask<> block_exclusive_carry(simt::WarpCtx& w,
                                       const LaneVec<T>& partial,
@@ -100,25 +101,41 @@ simt::SubTask<> block_exclusive_carry(simt::WarpCtx& w,
     co_await w.sync();
 }
 
-/// The native lowering for a whole block: the same three steps,
-/// phase-major over the block's warps, with each barrier replaced by the
-/// loop boundary it certifies.  `partial[i]` / `exclusive[i]` /
-/// `block_total[i]` belong to warp i.
+/// Per-warp state of a phase-list kernel that carries across its block's
+/// warps (block_carry_steps) and across its chunk loop (`run_carry`).
 template <typename T>
-void block_exclusive_carry_block_native(simt::NativeBlockCtx& blk,
-                                        std::span<const LaneVec<T>> partial,
-                                        std::span<LaneVec<T>> exclusive,
-                                        std::span<LaneVec<T>> block_total)
+struct CarryState {
+    RegTile<T> data;
+    LaneVec<T> run_carry; ///< this warp's prefix over earlier chunks
+    LaneVec<T> partial;   ///< deposited by block_carry_steps
+    LaneVec<T> exclusive; ///< gathered by block_carry_steps
+    LaneVec<T> total;     ///< gathered by block_carry_steps
+};
+
+/// block_exclusive_carry as phase-list steps (simt::phase_list) over a
+/// CarryState: deposit `partial`, then the same three barriers, leaving
+/// `exclusive` and `total` set.
+template <typename T>
+[[nodiscard]] auto block_carry_steps()
 {
-    const int wc = blk.warps_per_block();
-    for (int wid = 0; wid < wc; ++wid)
-        block_carry_deposit(blk.warp(wid),
-                            partial[static_cast<std::size_t>(wid)]);
-    block_carry_scan<T>(blk.warp(0));
-    for (int wid = 0; wid < wc; ++wid)
-        block_carry_gather(blk.warp(wid),
-                           exclusive[static_cast<std::size_t>(wid)],
-                           block_total[static_cast<std::size_t>(wid)]);
+    return std::tuple{
+        [](auto& w, CarryState<T>& st, std::int64_t) {
+            const simt::ProfileRange pr{"block-carry"};
+            block_carry_deposit(w, st.partial);
+        },
+        simt::barrier,
+        [](auto& w, CarryState<T>&, std::int64_t) {
+            const simt::ProfileRange pr{"block-carry"};
+            block_carry_scan<T>(w);
+        },
+        simt::barrier,
+        [](auto& w, CarryState<T>& st, std::int64_t) {
+            const simt::ProfileRange pr{"block-carry"};
+            block_carry_gather(w, st.exclusive, st.total);
+        },
+        // Protects the staging matrix from the next round's deposits, as
+        // in block_exclusive_carry.
+        simt::barrier};
 }
 
 } // namespace satgpu::sat

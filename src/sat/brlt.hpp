@@ -5,20 +5,21 @@
 // (conflict free), then columns are read back lane-parallel (conflict free
 // BECAUSE of the 33-element stride).  Shared memory holds only S tiles
 // (S = 32 / sizeof(T), Sec. IV-2), so warps take turns in groups of S with
-// a block barrier between rounds -- which is why BRLT is a SubTask.
+// a block barrier between rounds -- which is why BRLT is a SubTask, or in
+// a phase list a simt::Rounds step.
 //
 // `padded = false` removes the +1 stride (the ablation for the paper's
 // bank-conflict claim); the transpose stays correct but every column read
 // serializes 32-way.
 #pragma once
 
+#include "core/math.hpp"
 #include "sat/tile_io.hpp"
 #include "simt/kernel_task.hpp"
 #include "simt/native_backend.hpp"
 #include "simt/profiler.hpp"
 
 #include <algorithm>
-#include <span>
 
 namespace satgpu::sat {
 
@@ -66,8 +67,9 @@ void brlt_transpose_round(W& w, RegTile<T>& data, bool padded,
     sm.load_transposed(base, stride, data);
 }
 
-/// Alg. 5: transpose the warp's register matrix in place (the simulator
-/// lowering -- rounds separated by real block barriers).
+/// Alg. 5: transpose the warp's register matrix in place -- the SubTask
+/// form, for simulator-only kernels that co_await it; phase-list kernels
+/// use brlt_transpose_rounds below.
 template <typename T>
 simt::SubTask<> brlt_transpose(simt::WarpCtx& w, RegTile<T>& data,
                                bool padded = true)
@@ -85,21 +87,20 @@ simt::SubTask<> brlt_transpose(simt::WarpCtx& w, RegTile<T>& data,
     }
 }
 
-/// The native lowering for a whole block: identical rounds, phase-major
-/// (each round runs for every warp before the next begins), so the
-/// inter-round barrier becomes a loop boundary.  `data[i]` is warp i's
-/// register matrix.
+/// Alg. 5 as a phase-list step (simt::phase_list) for a block of
+/// `warp_count` warps: the rounds of brlt_transpose on the state's register
+/// tile `data`, each closed by a block barrier.
 template <typename T>
-void brlt_transpose_block_native(simt::NativeBlockCtx& blk,
-                                 std::span<RegTile<T>> data, bool padded)
+[[nodiscard]] auto brlt_transpose_rounds(int warp_count, bool padded)
 {
     const int group = brlt_group_size<T>();
-    const int wc = blk.warps_per_block();
-    for (int i = 0; i < wc; i += group)
-        for (int wid = 0; wid < wc; ++wid)
-            brlt_transpose_round(blk.warp(wid),
-                                 data[static_cast<std::size_t>(wid)],
-                                 padded, i);
+    return simt::Rounds{
+        static_cast<int>(
+            ceil_div(std::int64_t{warp_count}, std::int64_t{group})),
+        [group, padded](auto& w, auto& st, std::int64_t, int round) {
+            const simt::ProfileRange pr{"brlt-transpose"};
+            brlt_transpose_round(w, st.data, padded, round * group);
+        }};
 }
 
 } // namespace satgpu::sat

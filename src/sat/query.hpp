@@ -296,49 +296,32 @@ void tile_sat_slab_finish(W& w, const TileSatJob<Tsat, Tin>& job,
     store_tile_rows(*job.out, job.h, job.w, row0, col0, regs);
 }
 
-/// Simulator lowering: three barriers per slab (publish deposits, publish
-/// the staging scan, protect the staging matrix from the next slab).
-template <typename Tsat, typename Tin>
-simt::KernelTask query_tile_sat_warp(simt::WarpCtx& w,
-                                     const TileSatJob<Tsat, Tin>& job,
-                                     scan::WarpScanKind kind)
+/// The tile SAT kernel over the job `job_of(block_idx)` returns: per
+/// 32-row slab, three barriers (publish the deposits, publish the staging
+/// scan, protect the staging matrix from the next slab).
+template <typename Tsat, typename JobOf>
+[[nodiscard]] auto tile_sat_phases(JobOf job_of, scan::WarpScanKind kind)
 {
-    const std::int64_t slabs = ceil_div(job.h, std::int64_t{kWarpSize});
-    RegTile<Tsat> regs;
-    LaneVec<Tsat> col_carry{};
-    for (std::int64_t s = 0; s < slabs; ++s) {
-        const std::int64_t row0 = s * kWarpSize;
-        tile_sat_slab_load(w, job, row0, kind, regs);
-        co_await w.sync();
-        block_carry_scan<Tsat>(w);
-        co_await w.sync();
-        tile_sat_slab_finish(w, job, row0, regs, col_carry);
-        co_await w.sync(); // staging matrix is reused by the next slab
-    }
-}
-
-/// Native lowering: the same phases, phase-major over the block's warps,
-/// each barrier replaced by the loop boundary it certifies.
-template <typename Tsat, typename Tin>
-void query_tile_sat_block_native(simt::NativeBlockCtx& blk,
-                                 const TileSatJob<Tsat, Tin>& job,
-                                 scan::WarpScanKind kind)
-{
-    const int wc = blk.warps_per_block();
-    const std::int64_t slabs = ceil_div(job.h, std::int64_t{kWarpSize});
-    const auto regs = blk.warp_scratch<RegTile<Tsat>>();
-    WarpLanes<Tsat> col_carry{};
-    for (std::int64_t s = 0; s < slabs; ++s) {
-        const std::int64_t row0 = s * kWarpSize;
-        for (int wid = 0; wid < wc; ++wid)
-            tile_sat_slab_load(blk.warp(wid), job, row0, kind,
-                               regs[static_cast<std::size_t>(wid)]);
-        block_carry_scan<Tsat>(blk.warp(0));
-        for (int wid = 0; wid < wc; ++wid)
-            tile_sat_slab_finish(blk.warp(wid), job, row0,
-                                 regs[static_cast<std::size_t>(wid)],
-                                 col_carry[static_cast<std::size_t>(wid)]);
-    }
+    struct State {
+        RegTile<Tsat> regs;
+        LaneVec<Tsat> col_carry;
+    };
+    return simt::phase_list<State>(
+        [job_of](simt::Dim3 b) {
+            return ceil_div(job_of(b).h, std::int64_t{kWarpSize});
+        },
+        [job_of, kind](auto& w, State& st, std::int64_t s) {
+            tile_sat_slab_load(w, job_of(w.block_idx()), s * kWarpSize, kind,
+                               st.regs);
+        },
+        simt::barrier,
+        [](auto& w, State&, std::int64_t) { block_carry_scan<Tsat>(w); },
+        simt::barrier,
+        [job_of](auto& w, State& st, std::int64_t s) {
+            tile_sat_slab_finish(w, job_of(w.block_idx()), s * kWarpSize,
+                                 st.regs, st.col_carry);
+        },
+        simt::barrier);
 }
 
 /// Launch the single-pass tile-SAT kernel on the simulator for a group of
@@ -362,10 +345,13 @@ launch_query_tile_sat(simt::Engine& eng,
         block_carry_smem_bytes<Tsat>(wc)};
     const simt::LaunchConfig cfg{
         {static_cast<std::int64_t>(jobs.size()), 1, 1}, {kWarpSize, wc, 1}};
-    return eng.launch(info, cfg, [&](simt::WarpCtx& w) {
-        return query_tile_sat_warp(
-            w, jobs[static_cast<std::size_t>(w.block_idx().x)], kind);
-    });
+    return simt::launch_phases(
+        eng, info, cfg, /*native=*/false,
+        tile_sat_phases<Tsat>(
+            [jobs](simt::Dim3 b) -> const TileSatJob<Tsat, Tin>& {
+                return jobs[static_cast<std::size_t>(b.x)];
+            },
+            kind));
 }
 
 // ---- Fused consumer kernel ------------------------------------------------
@@ -876,10 +862,14 @@ template <typename Tsat, typename Spec, typename Tin, typename Tout>
             const auto build_and_consume =
                 [&]<typename Tsrc>(const simt::DeviceBuffer<Tsrc>& src,
                                    std::int64_t out_row0) {
-                    query_tile_sat_block_native(
-                        blk,
-                        TileSatJob<Tsat, Tsrc>{&src, &*st.sat, ext.h, ext.w},
-                        opt.warp_scan);
+                    const TileSatJob<Tsat, Tsrc> tile{&src, &*st.sat, ext.h,
+                                                      ext.w};
+                    simt::run_phases(
+                        blk, tile_sat_phases<Tsat>(
+                                 [&tile](simt::Dim3) -> const auto& {
+                                     return tile;
+                                 },
+                                 opt.warp_scan));
                     const ConsumerJob<Tsat, Tin, Tout> job{
                         &*st.sat, &*st.in, &out, h, w, rect, ext, out_row0};
                     const std::int64_t bands =

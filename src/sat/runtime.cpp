@@ -299,9 +299,12 @@ namespace {
 ///   1. a hazard-checked simulator run reporting ZERO hazards,
 ///   2. exact agreement of that run with the serial CPU oracle,
 ///   3. a bit-exact native-vs-simulator diff (tiled too, for tiled plans).
-/// The verdict is shape independent because the phase structure the
-/// checker certifies is: work inside a phase is per-warp predicated, and
-/// barriers are unconditional.
+/// The verdict is shape independent because every barrier kernel is a
+/// simt::phase_list (simt/native_backend.hpp), whose structure makes it
+/// so: trip counts depend only on the block index and round counts are
+/// fixed per launch, so barriers are unconditional, and a phase's work is
+/// per-warp predicated.  The list the probe certifies on the simulator is
+/// the one the native backend runs.
 template <typename Tin, typename Tout>
 bool certification_probe(Algorithm algo, const PlanRequest& req)
 {

@@ -21,6 +21,7 @@
 #include "simt/native_backend.hpp"
 
 #include <span>
+#include <tuple>
 
 namespace satgpu::sat {
 
@@ -49,129 +50,20 @@ template <typename T>
     return totals;
 }
 
-/// Apply-offset phase shared by both lowerings: add each register row's
-/// offset (its lane of the exclusive warp prefix + the chunk carry,
-/// shuffled out to the whole row), then advance the running carry.
+/// Apply-offset phase: add each register row's offset (its lane of the
+/// exclusive warp prefix + the chunk carry, shuffled out to the whole
+/// row), then advance the running carry.
 template <typename T>
 void apply_row_offsets(RegTile<T>& data, const LaneVec<T>& exclusive,
                        LaneVec<T>& run_carry, const LaneVec<T>& block_total)
 {
-    if (simt::current_counters() == nullptr &&
-        simt::current_hazard_checker() == nullptr) {
-        // Uninstrumented lowering: each row adds the scalar offsets[j]
-        // (what the broadcast shuffle below distributes) to all lanes.
-        const auto offsets = exclusive + run_carry;
-        for (int j = 0; j < kWarpSize; ++j) {
-            auto& row = data[static_cast<std::size_t>(j)];
-            row = row + LaneVec<T>::broadcast(offsets.get(j));
-        }
-        run_carry = run_carry + block_total;
-        return;
-    }
     const auto offsets = simt::vadd(exclusive, run_carry);
-    for (int j = 0; j < kWarpSize; ++j) {
-        const auto bcast = simt::shfl(offsets, j);
-        data[static_cast<std::size_t>(j)] =
-            simt::vadd(data[static_cast<std::size_t>(j)], bcast);
-    }
+    RegTile<T> row_offset;
+    simt::shfl_each_lane(offsets,
+                         std::span<LaneVec<T>, kWarpSize>(row_offset));
+    for (std::size_t j = 0; j < kWarpSize; ++j)
+        data[j] = simt::vadd(data[j], row_offset[j]);
     run_carry = simt::vadd(run_carry, block_total);
-}
-
-template <typename Tout, typename Tsrc>
-simt::KernelTask scanrow_brlt_warp(simt::WarpCtx& w,
-                                   const simt::DeviceBuffer<Tsrc>& in,
-                                   std::int64_t height, std::int64_t width,
-                                   simt::DeviceBuffer<Tout>& out,
-                                   scan::WarpScanKind kind, bool padded_smem)
-{
-    const std::int64_t row0 = w.block_idx().y * kWarpSize;
-    const std::int64_t chunk_w =
-        std::int64_t{w.warps_per_block()} * kWarpSize;
-    const std::int64_t chunks = ceil_div(width, chunk_w);
-    // Before the transpose, rows live in register INDICES: lane j of
-    // `run_carry` tracks the running prefix of tile row j.
-    LaneVec<Tout> run_carry{};
-    RegTile<Tout> data;
-
-    for (std::int64_t c = 0; c < chunks; ++c) {
-        const std::int64_t col0 =
-            c * chunk_w + std::int64_t{w.warp_id()} * kWarpSize;
-        {
-            const simt::ProfileRange pr{"load"};
-            load_tile_rows(in, height, width, row0, col0, data);
-        }
-
-        {
-            // Parallel warp scan of each register row (32 independent
-            // scans).
-            const simt::ProfileRange pr{"scan-row"};
-            scan::warp_inclusive_scan_tile(kind, data);
-        }
-
-        // Gather the 32 row totals into one lane vector (lane j <- row j).
-        LaneVec<Tout> totals{};
-        {
-            const simt::ProfileRange pr{"reduce-totals"};
-            totals = reduce_row_totals(data);
-        }
-
-        LaneVec<Tout> exclusive, block_total;
-        co_await block_exclusive_carry(w, totals, exclusive, block_total);
-
-        {
-            // Add each row's offset (exclusive warp prefix + chunk carry).
-            const simt::ProfileRange pr{"apply-offset"};
-            apply_row_offsets(data, exclusive, run_carry, block_total);
-        }
-
-        co_await brlt_transpose(w, data, padded_smem);
-
-        // Transposed store (identical layout to BRLT-ScanRow's store).
-        const simt::ProfileRange pr{"store"};
-        store_tile_transposed(out, height, width, row0, col0, data);
-    }
-}
-
-/// The native lowering of one ScanRow-BRLT block: the exact phase sequence
-/// of scanrow_brlt_warp, phase-major over the block's warps (see
-/// brlt_scanrow_block_native for the schedule argument).
-template <typename Tout, typename Tsrc>
-void scanrow_brlt_block_native(simt::NativeBlockCtx& blk,
-                               const simt::DeviceBuffer<Tsrc>& in,
-                               std::int64_t height, std::int64_t width,
-                               simt::DeviceBuffer<Tout>& out,
-                               scan::WarpScanKind kind, bool padded_smem)
-{
-    const int wc = blk.warps_per_block();
-    const std::int64_t row0 = blk.block_idx().y * kWarpSize;
-    const std::int64_t chunk_w = std::int64_t{wc} * kWarpSize;
-    const std::int64_t chunks = ceil_div(width, chunk_w);
-    const auto data = blk.warp_scratch<RegTile<Tout>>();
-    WarpLanes<Tout> run_carry{}, totals{}, exclusive{}, block_total{};
-    const auto at = [](auto& v, int i) -> decltype(auto) {
-        return v[static_cast<std::size_t>(i)];
-    };
-
-    for (std::int64_t c = 0; c < chunks; ++c) {
-        const auto col0 = [&](int wid) {
-            return c * chunk_w + std::int64_t{wid} * kWarpSize;
-        };
-        for (int wid = 0; wid < wc; ++wid)
-            load_tile_rows(in, height, width, row0, col0(wid), at(data, wid));
-        for (int wid = 0; wid < wc; ++wid)
-            scan::warp_inclusive_scan_tile(kind, at(data, wid));
-        for (int wid = 0; wid < wc; ++wid)
-            at(totals, wid) = reduce_row_totals(at(data, wid));
-        block_exclusive_carry_block_native<Tout>(blk, totals, exclusive,
-                                                 block_total);
-        for (int wid = 0; wid < wc; ++wid)
-            apply_row_offsets(at(data, wid), at(exclusive, wid),
-                              at(run_carry, wid), at(block_total, wid));
-        brlt_transpose_block_native<Tout>(blk, data, padded_smem);
-        for (int wid = 0; wid < wc; ++wid)
-            store_tile_transposed(out, height, width, row0, col0(wid),
-                                  at(data, wid));
-    }
 }
 
 /// Fused K-image ScanRow-BRLT pass: grid.z = K, block (x, y, k) runs image
@@ -195,19 +87,53 @@ simt::LaunchStats launch_scanrow_brlt_wave(
         "scanrow_brlt", regs_per_thread<Tout>(),
         brlt_smem_bytes<Tout>(padded_smem) +
             block_carry_smem_bytes<Tout>(wc)};
-    if (native)
-        return simt::native_launch(
-            eng, info, cfg, [&](simt::NativeBlockCtx& blk) {
-                const auto z = static_cast<std::size_t>(blk.block_idx().z);
-                scanrow_brlt_block_native<Tout, Tsrc>(blk, *ins[z], height,
-                                                      width, *outs[z], kind,
-                                                      padded_smem);
-            });
-    return eng.launch(info, cfg, [&](simt::WarpCtx& w) {
-        const auto z = static_cast<std::size_t>(w.block_idx().z);
-        return scanrow_brlt_warp<Tout, Tsrc>(w, *ins[z], height, width,
-                                             *outs[z], kind, padded_smem);
-    });
+    // Same tiles as BRLT-ScanRow.  Before the transpose, rows live in
+    // register INDICES: lane j of `run_carry` tracks the running prefix of
+    // tile row j.
+    const std::int64_t chunk_w = std::int64_t{wc} * kWarpSize;
+    const auto tile = [&](const auto& w, std::int64_t c) {
+        return std::tuple{static_cast<std::size_t>(w.block_idx().z),
+                          w.block_idx().y * kWarpSize,
+                          c * chunk_w + std::int64_t{w.warp_id()} * kWarpSize};
+    };
+    return simt::launch_phases(
+        eng, info, cfg, native,
+        simt::phase_list<CarryState<Tout>>(
+            [&](simt::Dim3) { return ceil_div(width, chunk_w); },
+            [&](auto& w, CarryState<Tout>& st, std::int64_t c) {
+                const auto [z, row0, col0] = tile(w, c);
+                {
+                    const simt::ProfileRange pr{"load"};
+                    load_tile_rows(*ins[z], height, width, row0, col0,
+                                   st.data);
+                }
+                {
+                    // Parallel warp scan of each register row (32
+                    // independent scans).
+                    const simt::ProfileRange pr{"scan-row"};
+                    scan::warp_inclusive_scan_tile(kind, st.data);
+                }
+                // Gather the 32 row totals into one lane vector (lane j <-
+                // row j).
+                const simt::ProfileRange pr{"reduce-totals"};
+                st.partial = reduce_row_totals(st.data);
+            },
+            block_carry_steps<Tout>(),
+            [](auto&, CarryState<Tout>& st, std::int64_t) {
+                // Add each row's offset (exclusive warp prefix + chunk
+                // carry).
+                const simt::ProfileRange pr{"apply-offset"};
+                apply_row_offsets(st.data, st.exclusive, st.run_carry,
+                                  st.total);
+            },
+            brlt_transpose_rounds<Tout>(wc, padded_smem),
+            [&](auto& w, CarryState<Tout>& st, std::int64_t c) {
+                const auto [z, row0, col0] = tile(w, c);
+                // Transposed store (identical layout to BRLT-ScanRow's).
+                const simt::ProfileRange pr{"store"};
+                store_tile_transposed(*outs[z], height, width, row0, col0,
+                                      st.data);
+            }));
 }
 
 template <typename Tout, typename Tsrc>

@@ -21,6 +21,7 @@
 #include "simt/profiler.hpp"
 
 #include <span>
+#include <tuple>
 
 namespace satgpu::sat {
 
@@ -75,90 +76,6 @@ void scanrow_warp_body(W& w, const simt::DeviceBuffer<Tsrc>& in,
     }
 }
 
-/// ScanColumn: block `bx` owns columns [bx*32, bx*32+32); warps stack in
-/// 32-row bands and step down the matrix in (warps*32)-row strips.
-template <typename Tout>
-simt::KernelTask scancolumn_warp(simt::WarpCtx& w,
-                                 const simt::DeviceBuffer<Tout>& in,
-                                 std::int64_t height, std::int64_t width,
-                                 simt::DeviceBuffer<Tout>& out)
-{
-    const std::int64_t col0 = w.block_idx().x * kWarpSize;
-    const std::int64_t strip_h =
-        std::int64_t{w.warps_per_block()} * kWarpSize;
-    const std::int64_t steps = ceil_div(height, strip_h);
-    LaneVec<Tout> run_carry{}; // per lane = per column
-    RegTile<Tout> data;
-
-    for (std::int64_t s = 0; s < steps; ++s) {
-        const std::int64_t row0 =
-            s * strip_h + std::int64_t{w.warp_id()} * kWarpSize;
-        {
-            const simt::ProfileRange pr{"load"};
-            load_tile_rows(in, height, width, row0, col0, data);
-        }
-
-        {
-            // Serial warp-scan down the columns (Sec. IV-C2): pure register
-            // arithmetic, no shuffles, no divergence.
-            const simt::ProfileRange pr{"scan-column"};
-            scan::serial_scan_registers(data);
-        }
-
-        LaneVec<Tout> exclusive, total;
-        co_await block_exclusive_carry(w, data[kWarpSize - 1], exclusive,
-                                       total);
-
-        {
-            const simt::ProfileRange pr{"apply-offset"};
-            apply_chunk_offset(data, exclusive, run_carry, total);
-        }
-
-        const simt::ProfileRange pr{"store"};
-        store_tile_rows(out, height, width, row0, col0, data);
-    }
-}
-
-/// The native lowering of one ScanColumn block: the exact phase sequence of
-/// scancolumn_warp, phase-major over the block's warps (see
-/// brlt_scanrow_block_native for the schedule argument).
-template <typename Tout>
-void scancolumn_block_native(simt::NativeBlockCtx& blk,
-                             const simt::DeviceBuffer<Tout>& in,
-                             std::int64_t height, std::int64_t width,
-                             simt::DeviceBuffer<Tout>& out)
-{
-    const int wc = blk.warps_per_block();
-    const std::int64_t col0 = blk.block_idx().x * kWarpSize;
-    const std::int64_t strip_h = std::int64_t{wc} * kWarpSize;
-    const std::int64_t steps = ceil_div(height, strip_h);
-    const auto data = blk.warp_scratch<RegTile<Tout>>();
-    WarpLanes<Tout> run_carry{}, partial{}, exclusive{}, total{};
-    const auto at = [](auto& v, int i) -> decltype(auto) {
-        return v[static_cast<std::size_t>(i)];
-    };
-
-    for (std::int64_t s = 0; s < steps; ++s) {
-        const auto row0 = [&](int wid) {
-            return s * strip_h + std::int64_t{wid} * kWarpSize;
-        };
-        for (int wid = 0; wid < wc; ++wid)
-            load_tile_rows(in, height, width, row0(wid), col0, at(data, wid));
-        for (int wid = 0; wid < wc; ++wid)
-            scan::serial_scan_registers(at(data, wid));
-        for (int wid = 0; wid < wc; ++wid)
-            at(partial, wid) = at(data, wid)[kWarpSize - 1];
-        block_exclusive_carry_block_native<Tout>(blk, partial, exclusive,
-                                                 total);
-        for (int wid = 0; wid < wc; ++wid)
-            apply_chunk_offset(at(data, wid), at(exclusive, wid),
-                               at(run_carry, wid), at(total, wid));
-        for (int wid = 0; wid < wc; ++wid)
-            store_tile_rows(out, height, width, row0(wid), col0,
-                            at(data, wid));
-    }
-}
-
 /// Fused K-image ScanRow pass: grid.z = K, block (x, y, k) runs image k's
 /// buffers (see launch_brlt_scanrow_wave for the bit-exactness argument).
 template <typename Tout, typename Tsrc>
@@ -196,6 +113,9 @@ simt::LaunchStats launch_scanrow_pass(simt::Engine& eng,
 }
 
 /// Fused K-image ScanColumn pass (same z-dispatch contract as above).
+/// Block (bx, 0, k) owns columns [bx*32, bx*32+32) of image k; its warps
+/// stack in 32-row bands and step down the matrix in (warps*32)-row
+/// strips, three barriers per strip (the block carry's).
 template <typename Tout>
 simt::LaunchStats launch_scancolumn_wave(
     simt::Engine& eng, std::span<const simt::DeviceBuffer<Tout>* const> ins,
@@ -210,17 +130,42 @@ simt::LaunchStats launch_scancolumn_wave(
         {kWarpSize, wc, 1}};
     const simt::KernelInfo info{"scancolumn", regs_per_thread<Tout>(),
                                 block_carry_smem_bytes<Tout>(wc)};
-    if (native)
-        return simt::native_launch(
-            eng, info, cfg, [&](simt::NativeBlockCtx& blk) {
-                const auto z = static_cast<std::size_t>(blk.block_idx().z);
-                scancolumn_block_native<Tout>(blk, *ins[z], height, width,
-                                              *outs[z]);
-            });
-    return eng.launch(info, cfg, [&](simt::WarpCtx& w) {
-        const auto z = static_cast<std::size_t>(w.block_idx().z);
-        return scancolumn_warp<Tout>(w, *ins[z], height, width, *outs[z]);
-    });
+    const std::int64_t strip_h = std::int64_t{wc} * kWarpSize;
+    // Warp w's tile in strip s: image, first row, first column.
+    const auto tile = [&](const auto& w, std::int64_t s) {
+        return std::tuple{static_cast<std::size_t>(w.block_idx().z),
+                          s * strip_h + std::int64_t{w.warp_id()} * kWarpSize,
+                          w.block_idx().x * kWarpSize};
+    };
+    return simt::launch_phases(
+        eng, info, cfg, native,
+        simt::phase_list<CarryState<Tout>>(
+            [&](simt::Dim3) { return ceil_div(height, strip_h); },
+            [&](auto& w, CarryState<Tout>& st, std::int64_t s) {
+                const auto [z, row0, col0] = tile(w, s);
+                {
+                    const simt::ProfileRange pr{"load"};
+                    load_tile_rows(*ins[z], height, width, row0, col0,
+                                   st.data);
+                }
+                // Serial warp-scan down the columns (Sec. IV-C2): pure
+                // register arithmetic, no shuffles, no divergence.
+                const simt::ProfileRange pr{"scan-column"};
+                scan::serial_scan_registers(st.data);
+                st.partial = st.data[kWarpSize - 1];
+            },
+            block_carry_steps<Tout>(),
+            [&](auto& w, CarryState<Tout>& st, std::int64_t s) {
+                const auto [z, row0, col0] = tile(w, s);
+                {
+                    const simt::ProfileRange pr{"apply-offset"};
+                    apply_chunk_offset(st.data, st.exclusive, st.run_carry,
+                                       st.total);
+                }
+                const simt::ProfileRange pr{"store"};
+                store_tile_rows(*outs[z], height, width, row0, col0,
+                                st.data);
+            }));
 }
 
 template <typename Tout>

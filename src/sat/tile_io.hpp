@@ -8,8 +8,6 @@
 #include "simt/global_memory.hpp"
 #include "simt/warp_ctx.hpp"
 
-#include <array>
-
 namespace satgpu::sat {
 
 using simt::kWarpSize;
@@ -20,11 +18,6 @@ using simt::LaneVec;
 /// line 1's "T data[32]" seen warp-wide).
 template <typename T>
 using RegTile = simt::LaneTile<T>;
-
-/// One LaneVec per warp of a block: a native block program's hoisted
-/// per-warp scalar state (running carries, partial sums), on the stack.
-template <typename T>
-using WarpLanes = std::array<LaneVec<T>, simt::kMaxWarpsPerBlock>;
 
 /// Lane mask (std::uint32_t, lane 0 = LSB) for columns col0+lane < width.
 /// Thin name-for-the-domain wrapper over simt::lanes_in_range, the shared

@@ -3,20 +3,20 @@
 //
 // The simulator executes kernels as warp coroutines with a thread-local
 // instrumentation sink behind every lane operation.  This backend runs the
-// SAME kernel bodies -- the shared phase helpers the SAT kernels are
-// written against -- as plain loops: no coroutines, no counters, no shadow
-// state.  Every warp primitive (LaneVec arithmetic, shfl_*, ballot/any/all,
-// SmemView, DeviceBuffer) already degrades to a bounds-checked plain loop
-// when no thread-local sink is installed (one inline TLS load decides),
-// and the row-shaped accesses (DeviceBuffer and SmemView load_row /
-// store_row, SmemView::load_strided) to one span check and a straight
-// copy, so the native path reuses those functions verbatim; what changes
-// is only the schedule.
+// SAME kernel source -- a phase list, or for a barrier-free kernel one
+// per-warp body (launch_phases / launch_warps below) -- as plain loops: no
+// coroutines, no counters, no shadow state.  Every warp primitive (LaneVec
+// arithmetic, shfl_*, ballot/any/all, SmemView, DeviceBuffer) already
+// degrades to a bounds-checked plain loop when no thread-local sink is
+// installed (one inline TLS load decides), and the row-shaped accesses
+// (DeviceBuffer and SmemView load_row / store_row, SmemView::load_strided)
+// to one span check and a straight copy, so the native path reuses those
+// functions verbatim; what changes is only the schedule.
 //
 // Schedule: where the simulator interleaves warp coroutines between
 // barriers, the native backend runs each block PHASE-MAJOR -- for every
-// barrier-to-barrier phase, a plain loop over the block's warps.  That
-// reordering is observably identical exactly when no phase contains an
+// phase of the list, a plain loop over the block's warps (run_phases).
+// That reordering is observably identical exactly when no phase contains an
 // unsynchronized cross-warp dependency, which is what the hazard checker's
 // certificate establishes (sat::Runtime only selects this backend for
 // hazard-certified plans).  Blocks are independent, as on hardware, and
@@ -41,7 +41,9 @@
 #include <memory>
 #include <span>
 #include <string_view>
+#include <tuple>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace satgpu::simt {
@@ -203,40 +205,207 @@ using NativeBlockProgram = std::function<void(NativeBlockCtx&)>;
                                         LaunchConfig cfg,
                                         const NativeBlockProgram& program);
 
+// ---- Phase lists: kernels with barriers, written once ---------------------
+//
+// A kernel with block barriers is per-warp State plus the list of steps one
+// trip of its chunk / strip / slab loop runs:
+//
+//   * a phase, `f(w, st, it)`: per-warp work on the warp's state `st` in
+//     trip `it` (w is a WarpCtx& or a NativeWarpCtx&);
+//   * `simt::barrier`: __syncthreads();
+//   * `simt::Rounds{count, f}`: `f(w, st, it, r)` for r in [0, count),
+//     each round closed by a barrier (BRLT's transpose rounds);
+//   * a std::tuple of steps, spliced in place (a reusable fragment such as
+//     the block carry).
+//
+// The trip count is a function of the block index alone and round counts
+// are fixed when the list is built, so every warp of a block meets every
+// barrier: barriers are unconditional and a phase's work is per-warp by
+// construction.  That is the structure the hazard checker's certificate
+// generalizes from its probe shape (docs/backends.md).
+//
+// launch_phases lowers the list to either backend.  On the simulator each
+// warp is one coroutine that runs the steps in order and co_awaits
+// `w.sync()` at each barrier.  Natively run_phases runs them phase-major:
+// every step is a loop over the block's warps, with the states in the
+// slot's warp_scratch, so a barrier is a loop boundary.  The steps are
+// template parameters: nothing is called through a std::function or a
+// virtual per phase or per warp.
+
+/// __syncthreads() between two steps of a phase list.
+struct Barrier {};
+inline constexpr Barrier barrier{};
+
+/// A counted run of barrier-closed rounds (see above).
+template <typename F>
+struct Rounds {
+    int count;
+    F f;
+};
+template <typename F>
+Rounds(int, F) -> Rounds<F>;
+
+/// A phase-list kernel: `trips(block_idx)` trips of `steps` over per-warp
+/// `State`.  State is default-initialized per warp at block start (give
+/// its members initializers), and must be a plain register value
+/// (NativeBlockCtx::scratch).  Build with phase_list.
+template <typename State, typename Trips, typename Steps>
+struct PhaseList {
+    Trips trips;
+    Steps steps; ///< flat std::tuple of phases, Barrier and Rounds
+};
+
 namespace detail {
 
-/// The simulator's coroutine around a barrier-free warp body.  It holds
-/// `body` by reference: launch_warps keeps the body alive until the
-/// launch, and with it every coroutine, has finished.
-template <typename Body>
-KernelTask warp_body_task(WarpCtx& w, const Body& body)
+template <typename Step>
+[[nodiscard]] std::tuple<Step> step_tuple(Step s)
 {
-    body(w);
-    co_return;
+    return std::tuple<Step>{std::move(s)};
+}
+template <typename... Steps>
+[[nodiscard]] std::tuple<Steps...> step_tuple(std::tuple<Steps...> s)
+{
+    return s;
+}
+
+template <typename Step>
+inline constexpr bool kIsRounds = false;
+template <typename F>
+inline constexpr bool kIsRounds<Rounds<F>> = true;
+
+/// Repetition `r` of `step` for one warp; true when a barrier follows.
+template <typename W, typename State, typename Step>
+bool run_step(W& w, State& st, std::int64_t it, const Step& step, int r)
+{
+    if constexpr (std::is_same_v<Step, Barrier>) {
+        return true;
+    } else if constexpr (kIsRounds<Step>) {
+        step.f(w, st, it, r);
+        return true;
+    } else {
+        step(w, st, it);
+        return false;
+    }
+}
+
+/// How often run_step repeats `step` in one trip.
+template <typename Step>
+[[nodiscard]] int step_repeats(const Step& step)
+{
+    if constexpr (kIsRounds<Step>)
+        return step.count;
+    else
+        return 1;
+}
+
+/// `f(std::get<k>(steps))` for a run-time k.
+template <typename Steps, typename F>
+auto visit_step(const Steps& steps, std::size_t k, F&& f)
+{
+    return [&]<std::size_t... I>(std::index_sequence<I...>) {
+        decltype(f(std::get<0>(steps))) r{};
+        (void)((k == I && (r = f(std::get<I>(steps)), true)) || ...);
+        return r;
+    }(std::make_index_sequence<std::tuple_size_v<Steps>>{});
+}
+
+/// The simulator lowering of a phase list: one warp's coroutine.  It
+/// holds `pl` by reference; launch_phases keeps the list alive until the
+/// launch, and with it every coroutine, has finished.
+template <typename State, typename Trips, typename Steps>
+KernelTask phase_list_task(WarpCtx& w, const PhaseList<State, Trips, Steps>& pl)
+{
+    State st;
+    const std::int64_t trips = pl.trips(w.block_idx());
+    for (std::int64_t it = 0; it < trips; ++it)
+        for (std::size_t k = 0; k < std::tuple_size_v<Steps>; ++k) {
+            const int reps = visit_step(
+                pl.steps, k, [](const auto& s) { return step_repeats(s); });
+            for (int r = 0; r < reps; ++r)
+                if (visit_step(pl.steps, k, [&](const auto& s) {
+                        return run_step(w, st, it, s, r);
+                    }))
+                    co_await w.sync();
+        }
+}
+
+/// The native lowering of one step: a loop over the block's warps per
+/// repetition.  A barrier is the boundary between two such loops.
+template <typename State, typename Step>
+void run_step_phase_major(NativeBlockCtx& blk, std::span<State> st,
+                          std::int64_t it, const Step& step)
+{
+    if constexpr (!std::is_same_v<Step, Barrier>) {
+        const int wc = blk.warps_per_block();
+        for (int r = 0; r < step_repeats(step); ++r)
+            for (int wid = 0; wid < wc; ++wid)
+                run_step(blk.warp(wid), st[static_cast<std::size_t>(wid)],
+                         it, step, r);
+    }
 }
 
 } // namespace detail
 
-/// Launch a barrier-free kernel written once as a per-warp body: `body(w)`
-/// is called with a WarpCtx& on the simulator (one coroutine per warp,
-/// counted and checked like any kernel) and with a NativeWarpCtx& on the
-/// native backend (`native`), where each block runs its warps in order.
-/// A body without barriers has no cross-warp phase, so warp order is
-/// irrelevant and both lowerings are observably the same.  Bodies with
-/// barriers keep their own phase-major native block functions.
+/// Build a PhaseList over per-warp `State` (tuples among `steps` are
+/// spliced in place).
+template <typename State, typename Trips, typename... Steps>
+[[nodiscard]] auto phase_list(Trips trips, Steps... steps)
+{
+    auto flat = std::tuple_cat(detail::step_tuple(std::move(steps))...);
+    return PhaseList<State, Trips, decltype(flat)>{std::move(trips),
+                                                   std::move(flat)};
+}
+
+/// The native lowering of a phase list for one block: every step
+/// phase-major over the block's warps, barriers as loop boundaries.
+/// Callable from inside any native block program (e.g. one that stages
+/// its own input first).  The states live in blk.warp_scratch, so the
+/// block program must not hold another scratch span across the call.
+template <typename State, typename Trips, typename Steps>
+void run_phases(NativeBlockCtx& blk, const PhaseList<State, Trips, Steps>& pl)
+{
+    const auto st = blk.warp_scratch<State>();
+    const std::int64_t trips = pl.trips(blk.block_idx());
+    for (std::int64_t it = 0; it < trips; ++it)
+        std::apply(
+            [&](const auto&... step) {
+                (detail::run_step_phase_major(blk, st, it, step), ...);
+            },
+            pl.steps);
+}
+
+/// Launch a phase-list kernel on the simulator (one coroutine per warp,
+/// counted and checked like any kernel) or natively (`native`: run_phases
+/// per block).
+template <typename State, typename Trips, typename Steps>
+LaunchStats launch_phases(Engine& eng, const KernelInfo& info,
+                          LaunchConfig cfg, bool native,
+                          const PhaseList<State, Trips, Steps>& pl)
+{
+    if (native)
+        return native_launch(eng, info, cfg, [&pl](NativeBlockCtx& blk) {
+            run_phases(blk, pl);
+        });
+    return eng.launch(info, cfg, [&pl](WarpCtx& w) {
+        return detail::phase_list_task(w, pl);
+    });
+}
+
+/// Launch a barrier-free kernel written once as a per-warp body, `body(w)`:
+/// the zero-barrier phase list (one trip of one phase, no state).  With no
+/// cross-warp phase, the native warp order is irrelevant and both
+/// lowerings are observably the same.
 template <typename Body>
 LaunchStats launch_warps(Engine& eng, const KernelInfo& info,
                          LaunchConfig cfg, bool native, const Body& body)
 {
-    if (native)
-        return native_launch(eng, info, cfg, [&body](NativeBlockCtx& blk) {
-            const int wc = blk.warps_per_block();
-            for (int wid = 0; wid < wc; ++wid)
-                body(blk.warp(wid));
-        });
-    return eng.launch(info, cfg, [&body](WarpCtx& w) {
-        return detail::warp_body_task(w, body);
-    });
+    struct NoState {};
+    return launch_phases(
+        eng, info, cfg, native,
+        phase_list<NoState>([](Dim3) { return std::int64_t{1}; },
+                            [&body](auto& w, NoState&, std::int64_t) {
+                                body(w);
+                            }));
 }
 
 } // namespace satgpu::simt

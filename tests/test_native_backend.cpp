@@ -1300,35 +1300,52 @@ constexpr sat::Algorithm kNativeAlgos[] = {sat::Algorithm::kBrltScanRow,
 TEST(NativeBackend, BitExactWithSimulatorOnRaggedShapes)
 {
     sat::Runtime rt({.record_history = false});
+    // 1100 x 40 spans two 1024-row ScanColumn strips (three 512-row strips
+    // for f64f64, whose blocks have 16 warps and BRLT groups of 4 tiles).
     const struct {
         std::int64_t h, w;
-    } shapes[] = {{33, 17}, {64, 31}, {130, 97}};
+    } shapes[] = {{33, 17}, {64, 31}, {130, 97}, {1100, 40}};
     const DtypePair pairs[] = {{Dtype::u8_, Dtype::u32_},
-                               {Dtype::f32_, Dtype::f32_}};
+                               {Dtype::f32_, Dtype::f32_},
+                               {Dtype::f64_, Dtype::f64_}};
+    // The default kernel options, then each non-default one: unpadded
+    // BRLT staging, and every other warp-scan network.
+    const struct {
+        scan::WarpScanKind scan;
+        bool padded;
+    } options[] = {{scan::WarpScanKind::kKoggeStone, true},
+                   {scan::WarpScanKind::kKoggeStone, false},
+                   {scan::WarpScanKind::kLadnerFischer, true},
+                   {scan::WarpScanKind::kBrentKung, true},
+                   {scan::WarpScanKind::kHanCarlson, true}};
     for (const auto& pair : pairs)
         for (const auto algo : kNativeAlgos)
-            for (const auto& s : shapes) {
-                const auto image =
-                    sat::AnyMatrix::random(pair.in, s.h, s.w, /*seed=*/7);
-                const auto sim = rt.plan({.height = s.h,
-                                          .width = s.w,
-                                          .dtypes = pair,
-                                          .algorithm = algo});
-                const auto nat = rt.plan({.height = s.h,
-                                          .width = s.w,
-                                          .dtypes = pair,
-                                          .algorithm = algo,
-                                          .backend = sat::Backend::kNative});
-                ASSERT_EQ(nat.backend(), sat::Backend::kNative)
-                    << sat::to_string(algo);
-                EXPECT_TRUE(nat.certified());
-                EXPECT_EQ(sim.backend(), sat::Backend::kSim);
-                EXPECT_FALSE(sim.certified()); // never probed for kSim
-                const auto t_sim = sim.execute(image).table;
-                const auto t_nat = nat.execute(image).table;
-                EXPECT_TRUE(t_sim == t_nat)
-                    << sat::to_string(algo) << " " << s.h << "x" << s.w;
-            }
+            for (const auto& o : options)
+                for (const auto& s : shapes) {
+                    const auto image = sat::AnyMatrix::random(pair.in, s.h,
+                                                              s.w, /*seed=*/7);
+                    sat::PlanRequest req{.height = s.h,
+                                         .width = s.w,
+                                         .dtypes = pair,
+                                         .algorithm = algo,
+                                         .warp_scan = o.scan,
+                                         .padded_smem = o.padded};
+                    const auto sim = rt.plan(req);
+                    req.backend = sat::Backend::kNative;
+                    const auto nat = rt.plan(req);
+                    const std::string what =
+                        std::string(sat::to_string(algo)) + " " +
+                        std::string(scan::to_string(o.scan)) +
+                        (o.padded ? " padded " : " unpadded ") +
+                        std::to_string(s.h) + "x" + std::to_string(s.w);
+                    ASSERT_EQ(nat.backend(), sat::Backend::kNative) << what;
+                    EXPECT_TRUE(nat.certified()) << what;
+                    EXPECT_EQ(sim.backend(), sat::Backend::kSim);
+                    EXPECT_FALSE(sim.certified()); // never probed for kSim
+                    const auto t_sim = sim.execute(image).table;
+                    const auto t_nat = nat.execute(image).table;
+                    EXPECT_TRUE(t_sim == t_nat) << what;
+                }
 }
 
 namespace {

@@ -3,8 +3,9 @@
 // Each seed deterministically samples one case -- dtype pair, algorithm
 // (incl. kAuto), shape up to 4096 x 4096 (log-uniform, so ragged small
 // shapes dominate but the tail reaches full size), optional macro-tile
-// geometry, scheduler thread count, batch size -- plus side knobs for a
-// service, a SAT-consumer query and a frame stream.  Every registered
+// geometry, scheduler thread count, batch size, warp-scan kind and BRLT
+// shared-memory padding -- plus side knobs for a service, a SAT-consumer
+// query and a frame stream.  Every registered
 // execution path that applies runs the case, and each of its outputs must
 // be BIT-EXACT against the one serial oracle of the case's kind:
 //
@@ -58,6 +59,8 @@ struct FuzzConfig {
     int threads = 1;
     int batch = 1;
     int fill_hi = 15; ///< input magnitude cap (see header comment)
+    scan::WarpScanKind warp_scan = scan::WarpScanKind::kKoggeStone;
+    bool padded_smem = true;
 };
 
 /// Log-uniform side length in [1, 4096]: exponent uniform in [0, 12].
@@ -102,6 +105,12 @@ FuzzConfig sample(std::uint64_t seed)
         const std::int64_t cap = (std::int64_t{1} << 24) / (c.h * c.w);
         c.fill_hi = static_cast<int>(std::clamp<std::int64_t>(cap, 1, 15));
     }
+    constexpr scan::WarpScanKind kScans[] = {
+        scan::WarpScanKind::kKoggeStone, scan::WarpScanKind::kLadnerFischer,
+        scan::WarpScanKind::kBrentKung, scan::WarpScanKind::kHanCarlson};
+    c.warp_scan = kScans[std::uniform_int_distribution<std::size_t>(
+        0, std::size(kScans) - 1)(rng)];
+    c.padded_smem = std::uniform_int_distribution<int>(0, 1)(rng) != 0;
     return c;
 }
 
@@ -118,7 +127,8 @@ std::string describe(const FuzzConfig& c)
     else
         os << " untiled";
     os << " threads " << c.threads << " batch " << c.batch << " fill 0.."
-       << c.fill_hi;
+       << c.fill_hi << " scan " << scan::to_string(c.warp_scan)
+       << (c.padded_smem ? " padded" : " unpadded");
     return os.str();
 }
 
@@ -364,6 +374,8 @@ sat::PlanRequest plan_request(const FuzzConfig& c)
             .width = c.w,
             .dtypes = c.pair,
             .algorithm = c.algo,
+            .warp_scan = c.warp_scan,
+            .padded_smem = c.padded_smem,
             .tile = c.tile};
 }
 
