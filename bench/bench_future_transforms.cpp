@@ -31,18 +31,17 @@ using namespace satgpu;
 /// neighbour lanes, combine, and pack via index shuffles.  Row-major
 /// output; a separate pass covers columns in registers.  Used only for its
 /// event profile.
-template <typename T>
-simt::KernelTask haar_rows_shfl_warp(simt::WarpCtx& w,
-                                     const simt::DeviceBuffer<T>& in,
-                                     std::int64_t height, std::int64_t width,
-                                     simt::DeviceBuffer<T>& out)
+template <typename T, typename W>
+void haar_rows_shfl_warp(W& w, const simt::DeviceBuffer<T>& in,
+                         std::int64_t height, std::int64_t width,
+                         simt::DeviceBuffer<T>& out)
 {
     using simt::kWarpSize;
     using simt::LaneVec;
     const std::int64_t row =
         w.block_idx().y * w.warps_per_block() + w.warp_id();
     if (row >= height)
-        co_return;
+        return;
     const auto lane = LaneVec<std::int64_t>::lane_index();
     const simt::LaneMask low_half = 0x0000ffffu;
 
@@ -93,12 +92,10 @@ int main()
     simt::Engine e2;
     auto in = simt::DeviceBuffer<i32>::from_matrix(img);
     simt::DeviceBuffer<i32> mid(kN * kN);
-    const auto shfl_pass = e2.launch(
-        {"haar_rows_shfl", 24, 0},
-        {{1, satgpu::ceil_div(kN, 8), 1}, {8 * simt::kWarpSize, 1, 1}},
-        [&](simt::WarpCtx& w) {
-            return haar_rows_shfl_warp<i32>(w, in, kN, kN, mid);
-        });
+    const auto shfl_pass = simt::launch_warps(
+        e2, {"haar_rows_shfl", 24, 0},
+        {{1, satgpu::ceil_div(kN, 8), 1}, {8 * simt::kWarpSize, 1, 1}}, false,
+        [&](auto& w) { haar_rows_shfl_warp<i32>(w, in, kN, kN, mid); });
 
     TablePrinter t({"variant", "warp shuffles", "smem trans", "lane adds",
                     "est. time/pass (us)"});

@@ -11,6 +11,7 @@
 #include "model/gpu_specs.hpp"
 #include "model/timing.hpp"
 #include "simt/engine.hpp"
+#include "simt/native_backend.hpp"
 #include "simt/shared_memory.hpp"
 #include "simt/shuffle.hpp"
 
@@ -25,10 +26,10 @@ using namespace satgpu;
 simt::LaunchStats chase_kernel(const char* kind, int n)
 {
     simt::Engine eng;
-    return eng.launch(
-        {"microbench", 16, 256}, {{1, 1, 1}, {32, 1, 1}},
-        [&](simt::WarpCtx& w) -> simt::KernelTask {
-            auto sm = w.smem_alloc<int>("probe", 64);
+    return simt::launch_warps(
+        eng, {"microbench", 16, 256}, {{1, 1, 1}, {32, 1, 1}}, false,
+        [&](auto& w) {
+            auto sm = w.template smem_alloc<int>("probe", 64);
             const auto lane = simt::LaneVec<std::int64_t>::lane_index();
             auto v = simt::LaneVec<int>::lane_index();
             sm.store(lane, v);
@@ -42,7 +43,6 @@ simt::LaunchStats chase_kernel(const char* kind, int n)
                     v = simt::vadd(v, v);
                 }
             }
-            co_return;
         });
 }
 

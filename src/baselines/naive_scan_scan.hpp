@@ -10,6 +10,7 @@
 #include "sat/launch_params.hpp"
 #include "sat/tile_io.hpp"
 #include "simt/engine.hpp"
+#include "simt/native_backend.hpp"
 
 #include <span>
 
@@ -18,18 +19,17 @@ namespace satgpu::baselines {
 using simt::LaneVec;
 
 /// Thread-per-row serial scan: lane l of each warp owns row base+l.
-template <typename Tout, typename Tsrc>
-simt::KernelTask naive_row_warp(simt::WarpCtx& w,
-                                const simt::DeviceBuffer<Tsrc>& in,
-                                std::int64_t height, std::int64_t width,
-                                simt::DeviceBuffer<Tout>& out)
+template <typename Tout, typename Tsrc, typename W>
+void naive_row_warp(W& w, const simt::DeviceBuffer<Tsrc>& in,
+                    std::int64_t height, std::int64_t width,
+                    simt::DeviceBuffer<Tout>& out)
 {
     const std::int64_t row0 =
         w.block_idx().y * w.block_dim().x + std::int64_t{w.warp_id()} *
                                                 simt::kWarpSize;
     const simt::LaneMask m = simt::lanes_in_range(row0, height);
     if (m == 0)
-        co_return;
+        return;
 
     const auto lane = LaneVec<std::int64_t>::lane_index();
     LaneVec<Tout> carry{};
@@ -42,17 +42,16 @@ simt::KernelTask naive_row_warp(simt::WarpCtx& w,
 }
 
 /// Thread-per-column serial scan: identical to OpenCV's vertical pass.
-template <typename Tout>
-simt::KernelTask naive_col_warp(simt::WarpCtx& w,
-                                simt::DeviceBuffer<Tout>& data,
-                                std::int64_t height, std::int64_t width)
+template <typename Tout, typename W>
+void naive_col_warp(W& w, simt::DeviceBuffer<Tout>& data,
+                    std::int64_t height, std::int64_t width)
 {
     const std::int64_t col0 =
         w.block_idx().x * w.block_dim().x + std::int64_t{w.warp_id()} *
                                                 simt::kWarpSize;
     const auto m = sat::cols_in_range(col0, width);
     if (m == 0)
-        co_return;
+        return;
     const auto lane = LaneVec<std::int64_t>::lane_index();
     LaneVec<Tout> carry{};
     for (std::int64_t y = 0; y < height; ++y) {
@@ -74,22 +73,11 @@ simt::LaunchStats launch_naive_rows_wave(
     const simt::LaunchConfig cfg{
         {1, ceil_div(height, 256), static_cast<std::int64_t>(ins.size())},
         {256, 1, 1}};
-    return eng.launch({"naive_rows", 12, 0}, cfg, [&](simt::WarpCtx& w) {
-        const auto z = static_cast<std::size_t>(w.block_idx().z);
-        return naive_row_warp<Tout, Tsrc>(w, *ins[z], height, width,
-                                          *outs[z]);
-    });
-}
-
-template <typename Tout, typename Tsrc>
-simt::LaunchStats launch_naive_rows(simt::Engine& eng,
-                                    const simt::DeviceBuffer<Tsrc>& in,
-                                    std::int64_t height, std::int64_t width,
-                                    simt::DeviceBuffer<Tout>& out)
-{
-    const simt::DeviceBuffer<Tsrc>* const ins[] = {&in};
-    simt::DeviceBuffer<Tout>* const outs[] = {&out};
-    return launch_naive_rows_wave<Tout, Tsrc>(eng, ins, height, width, outs);
+    return simt::launch_warps(
+        eng, {"naive_rows", 12, 0}, cfg, false, [&](auto& w) {
+            const auto z = static_cast<std::size_t>(w.block_idx().z);
+            naive_row_warp<Tout, Tsrc>(w, *ins[z], height, width, *outs[z]);
+        });
 }
 
 template <typename Tout>
@@ -101,19 +89,11 @@ simt::LaunchStats launch_naive_cols_wave(
     const simt::LaunchConfig cfg{
         {ceil_div(width, 256), 1, static_cast<std::int64_t>(datas.size())},
         {256, 1, 1}};
-    return eng.launch({"naive_cols", 12, 0}, cfg, [&](simt::WarpCtx& w) {
-        const auto z = static_cast<std::size_t>(w.block_idx().z);
-        return naive_col_warp<Tout>(w, *datas[z], height, width);
-    });
-}
-
-template <typename Tout>
-simt::LaunchStats launch_naive_cols(simt::Engine& eng,
-                                    simt::DeviceBuffer<Tout>& data,
-                                    std::int64_t height, std::int64_t width)
-{
-    simt::DeviceBuffer<Tout>* const datas[] = {&data};
-    return launch_naive_cols_wave<Tout>(eng, datas, height, width);
+    return simt::launch_warps(
+        eng, {"naive_cols", 12, 0}, cfg, false, [&](auto& w) {
+            const auto z = static_cast<std::size_t>(w.block_idx().z);
+            naive_col_warp<Tout>(w, *datas[z], height, width);
+        });
 }
 
 } // namespace satgpu::baselines

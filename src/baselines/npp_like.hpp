@@ -18,8 +18,8 @@
 namespace satgpu::baselines {
 
 /// scanRow: identical decomposition to the generic horizontal pass, with
-/// Table II's resource footprint.  The wave form fuses K same-shaped
-/// images into one grid.z = K launch (see launch_opencv_horizontal_wave).
+/// Table II's resource footprint.  Fuses K same-shaped images into one
+/// grid.z = K launch (see launch_opencv_horizontal_wave).
 template <typename Tout, typename Tsrc>
 simt::LaunchStats launch_npp_scanrow_wave(
     simt::Engine& eng, std::span<const simt::DeviceBuffer<Tsrc>* const> ins,
@@ -28,59 +28,18 @@ simt::LaunchStats launch_npp_scanrow_wave(
 {
     SATGPU_EXPECTS(!ins.empty() && ins.size() == outs.size());
     const simt::LaunchConfig cfg{
-        {1, height, static_cast<std::int64_t>(ins.size())}, {256, 1, 1}};
+        {1, height, static_cast<std::int64_t>(ins.size())},
+        {kScanBlock, 1, 1}};
     const simt::KernelInfo info{"npp_scanRow", 20, 2304 /* 2.25 KB */};
-    return eng.launch(info, cfg, [&](simt::WarpCtx& w) {
-        const auto z = static_cast<std::size_t>(w.block_idx().z);
-        return opencv_horizontal_warp<Tout, Tsrc>(w, *ins[z], height, width,
-                                                  *outs[z]);
-    });
-}
-
-template <typename Tout, typename Tsrc>
-simt::LaunchStats launch_npp_scanrow(simt::Engine& eng,
-                                     const simt::DeviceBuffer<Tsrc>& in,
-                                     std::int64_t height, std::int64_t width,
-                                     simt::DeviceBuffer<Tout>& out)
-{
-    const simt::DeviceBuffer<Tsrc>* const ins[] = {&in};
-    simt::DeviceBuffer<Tout>* const outs[] = {&out};
-    return launch_npp_scanrow_wave<Tout, Tsrc>(eng, ins, height, width,
-                                               outs);
+    return simt::launch_phases(
+        eng, info, cfg, false,
+        opencv_horizontal_phases<Tout, Tsrc>(ins, width, outs));
 }
 
 /// scanCol: block (1,256,1), one block per column; thread t covers rows
 /// t, t+256, ...; each 256-row chunk is block-scanned through shared
 /// memory.  Loads/stores stride by `width` elements -> 32 sectors per warp
 /// access.
-template <typename Tout>
-simt::KernelTask npp_scancol_warp(simt::WarpCtx& w,
-                                  simt::DeviceBuffer<Tout>& data,
-                                  std::int64_t height, std::int64_t width)
-{
-    const std::int64_t col = w.block_idx().x;
-    const std::int64_t chunk_h =
-        std::int64_t{w.warps_per_block()} * kWarpSize;
-    const auto lane = LaneVec<std::int64_t>::lane_index();
-    LaneVec<Tout> carry{};
-
-    for (std::int64_t r0 = 0; r0 < height; r0 += chunk_h) {
-        const std::int64_t row0 = r0 + std::int64_t{w.warp_id()} * kWarpSize;
-        // Row mask: lane l handles row row0 + l.
-        const simt::LaneMask m = simt::lanes_in_range(row0, height);
-
-        // Strided (uncoalesced) column load: the warp's lanes sit `width`
-        // elements apart, touching one sector each.
-        const auto idx = (lane + row0) * width + col;
-        auto v = data.load(idx, m);
-        LaneVec<Tout> chunk_total;
-        co_await scan::block_inclusive_scan(w, v, chunk_total);
-        v = simt::vadd(v, carry);
-        data.store(idx, v, m);
-        carry = simt::vadd(carry, chunk_total);
-    }
-}
-
 template <typename Tout>
 simt::LaunchStats launch_npp_scancol_wave(
     simt::Engine& eng, std::span<simt::DeviceBuffer<Tout>* const> datas,
@@ -91,21 +50,38 @@ simt::LaunchStats launch_npp_scancol_wave(
     // exclusive table with a zero border column; our inclusive variant
     // launches exactly W column blocks.
     const simt::LaunchConfig cfg{
-        {width, 1, static_cast<std::int64_t>(datas.size())}, {1, 256, 1}};
+        {width, 1, static_cast<std::int64_t>(datas.size())},
+        {1, kScanBlock, 1}};
     const simt::KernelInfo info{"npp_scanCol", 18, 2304};
-    return eng.launch(info, cfg, [&](simt::WarpCtx& w) {
-        const auto z = static_cast<std::size_t>(w.block_idx().z);
-        return npp_scancol_warp<Tout>(w, *datas[z], height, width);
-    });
-}
-
-template <typename Tout>
-simt::LaunchStats launch_npp_scancol(simt::Engine& eng,
-                                     simt::DeviceBuffer<Tout>& data,
-                                     std::int64_t height, std::int64_t width)
-{
-    simt::DeviceBuffer<Tout>* const datas[] = {&data};
-    return launch_npp_scancol_wave<Tout>(eng, datas, height, width);
+    using State = scan::BlockScanState<Tout>;
+    // Warp w's 32 rows of chunk c down its block's column, lane l on row
+    // row0 + l: image, strided element indices, rows in range.
+    const auto slice = [&](const auto& w, std::int64_t c) {
+        const std::int64_t row0 =
+            c * kScanBlock + std::int64_t{w.warp_id()} * kWarpSize;
+        return std::tuple{static_cast<std::size_t>(w.block_idx().z),
+                          (LaneVec<std::int64_t>::lane_index() + row0) *
+                                  width +
+                              w.block_idx().x,
+                          simt::lanes_in_range(row0, height)};
+    };
+    return simt::launch_phases(
+        eng, info, cfg, false,
+        simt::phase_list<State>(
+            [&](simt::Dim3) { return ceil_div(height, kScanBlock); },
+            [&](auto& w, State& st, std::int64_t c) {
+                // Strided (uncoalesced) column load: the warp's lanes sit
+                // `width` elements apart, touching one sector each.
+                const auto [z, idx, m] = slice(w, c);
+                st.v = datas[z]->load(idx, m);
+            },
+            scan::block_scan_steps<Tout>(),
+            [&](auto& w, State& st, std::int64_t c) {
+                const auto [z, idx, m] = slice(w, c);
+                st.v = simt::vadd(st.v, st.carry);
+                datas[z]->store(idx, st.v, m);
+                st.carry = simt::vadd(st.carry, st.total);
+            }));
 }
 
 } // namespace satgpu::baselines

@@ -18,8 +18,10 @@
 #include "scan/block_scan.hpp"
 #include "scan/warp_scan.hpp"
 #include "simt/engine.hpp"
+#include "simt/native_backend.hpp"
 
 #include <span>
+#include <tuple>
 
 namespace satgpu::baselines {
 
@@ -28,48 +30,56 @@ using sat::cols_in_range;
 using simt::kWarpSize;
 using simt::LaneVec;
 
-/// Generic horizontal pass: block (256,1,1), grid (1,H,1).
-template <typename Tout, typename Tsrc>
-simt::KernelTask opencv_horizontal_warp(simt::WarpCtx& w,
-                                        const simt::DeviceBuffer<Tsrc>& in,
-                                        std::int64_t height,
-                                        std::int64_t width,
-                                        simt::DeviceBuffer<Tout>& out)
-{
-    const std::int64_t row = w.block_idx().y;
-    const std::int64_t chunk_w =
-        std::int64_t{w.warps_per_block()} * kWarpSize;
-    const auto lane = LaneVec<std::int64_t>::lane_index();
-    LaneVec<Tout> carry{};
-    (void)height;
+/// Threads per block of the block-scanned passes (OpenCV's horizontal
+/// pass, NPP's scanRow and scanCol): each scans 256-element chunks.
+inline constexpr std::int64_t kScanBlock = 256;
 
-    for (std::int64_t c0 = 0; c0 < width; c0 += chunk_w) {
-        const std::int64_t col0 = c0 + std::int64_t{w.warp_id()} * kWarpSize;
-        const auto m = cols_in_range(col0, width);
-        auto v = in.load(lane + (row * width + col0), m)
-                     .template cast<Tout>();
-        LaneVec<Tout> chunk_total;
-        co_await scan::block_inclusive_scan(w, v, chunk_total);
-        v = simt::vadd(v, carry);
-        out.store(lane + (row * width + col0), v, m);
-        carry = simt::vadd(carry, chunk_total);
-    }
+/// Generic horizontal pass over grid.z = K images: block (0, y, k) scans
+/// row y of image k in 256-column chunks, each block-scanned, with a
+/// running row carry across chunks.
+template <typename Tout, typename Tsrc>
+[[nodiscard]] auto opencv_horizontal_phases(
+    std::span<const simt::DeviceBuffer<Tsrc>* const> ins, std::int64_t width,
+    std::span<simt::DeviceBuffer<Tout>* const> outs)
+{
+    using State = scan::BlockScanState<Tout>;
+    // Warp w's 32 columns of chunk c: image, first element, lanes in range.
+    const auto slice = [width](const auto& w, std::int64_t c) {
+        const std::int64_t col0 =
+            c * kScanBlock + std::int64_t{w.warp_id()} * kWarpSize;
+        return std::tuple{static_cast<std::size_t>(w.block_idx().z),
+                          w.block_idx().y * width + col0,
+                          cols_in_range(col0, width)};
+    };
+    const auto lane = LaneVec<std::int64_t>::lane_index();
+    return simt::phase_list<State>(
+        [width](simt::Dim3) { return ceil_div(width, kScanBlock); },
+        [=](auto& w, State& st, std::int64_t c) {
+            const auto [z, first, m] = slice(w, c);
+            st.v = ins[z]->load(lane + first, m).template cast<Tout>();
+        },
+        scan::block_scan_steps<Tout>(),
+        [=](auto& w, State& st, std::int64_t c) {
+            const auto [z, first, m] = slice(w, c);
+            st.v = simt::vadd(st.v, st.carry);
+            outs[z]->store(lane + first, st.v, m);
+            st.carry = simt::vadd(st.carry, st.total);
+        });
 }
 
 /// OpenCV's 8u fast path: one warp per row, uint4 (16-pixel) loads,
 /// in-thread serial scan + one warp scan per 512-pixel chunk.
-template <typename Tout>
-simt::KernelTask opencv_horizontal_8u_warp(simt::WarpCtx& w,
-                                           const simt::DeviceBuffer<std::uint8_t>& in,
-                                           std::int64_t height,
-                                           std::int64_t width,
-                                           simt::DeviceBuffer<Tout>& out)
+template <typename Tout, typename W>
+void opencv_horizontal_8u_warp(W& w,
+                               const simt::DeviceBuffer<std::uint8_t>& in,
+                               std::int64_t height, std::int64_t width,
+                               simt::DeviceBuffer<Tout>& out)
 {
     constexpr int kPix = 16; // pixels per thread (one uint4)
     const std::int64_t row =
         w.block_idx().y * w.warps_per_block() + w.warp_id();
     if (row >= height)
-        co_return; // warp-independent kernel: no barriers
+        return; // warp-independent kernel: no barriers
 
     const auto lane = LaneVec<std::int64_t>::lane_index();
     const std::int64_t chunk_w = kWarpSize * kPix; // 512 pixels
@@ -122,17 +132,16 @@ simt::KernelTask opencv_horizontal_8u_warp(simt::WarpCtx& w,
 }
 
 /// Vertical pass: thread-per-column serial walk, coalesced across the warp.
-template <typename Tout>
-simt::KernelTask opencv_vertical_warp(simt::WarpCtx& w,
-                                      simt::DeviceBuffer<Tout>& data,
-                                      std::int64_t height, std::int64_t width)
+template <typename Tout, typename W>
+void opencv_vertical_warp(W& w, simt::DeviceBuffer<Tout>& data,
+                          std::int64_t height, std::int64_t width)
 {
     const std::int64_t col0 =
         w.block_idx().x * w.block_dim().x + std::int64_t{w.warp_id()} *
                                                 kWarpSize;
     const auto m = cols_in_range(col0, width);
     if (m == 0)
-        co_return;
+        return;
     const auto lane = LaneVec<std::int64_t>::lane_index();
     LaneVec<Tout> carry{};
     for (std::int64_t y = 0; y < height; ++y) {
@@ -145,10 +154,9 @@ simt::KernelTask opencv_vertical_warp(simt::WarpCtx& w,
 
 // ---------------------------------------------------------------- launches
 //
-// Each pass has a fused K-image "wave" form (grid.z = K; block (x, y, k)
-// runs image k's buffers -- the kernels never read block_idx().z, so
-// outputs are bit-identical to K separate launches) and a single-image
-// form that is just a K = 1 wave.
+// Each pass launches in a fused K-image "wave" form: grid.z = K and block
+// (x, y, k) runs image k's buffers.  The kernels read block_idx().z only to
+// pick the buffers, so outputs are bit-identical to K separate launches.
 
 template <typename Tout, typename Tsrc>
 simt::LaunchStats launch_opencv_horizontal_wave(
@@ -158,28 +166,14 @@ simt::LaunchStats launch_opencv_horizontal_wave(
 {
     SATGPU_EXPECTS(!ins.empty() && ins.size() == outs.size());
     const simt::LaunchConfig cfg{
-        {1, height, static_cast<std::int64_t>(ins.size())}, {256, 1, 1}};
+        {1, height, static_cast<std::int64_t>(ins.size())},
+        {kScanBlock, 1, 1}};
     const simt::KernelInfo info{
         "opencv_horisontal_pass", 24,
         static_cast<std::int64_t>(8 * sizeof(Tout))};
-    return eng.launch(info, cfg, [&](simt::WarpCtx& w) {
-        const auto z = static_cast<std::size_t>(w.block_idx().z);
-        return opencv_horizontal_warp<Tout, Tsrc>(w, *ins[z], height, width,
-                                                  *outs[z]);
-    });
-}
-
-template <typename Tout, typename Tsrc>
-simt::LaunchStats launch_opencv_horizontal(simt::Engine& eng,
-                                           const simt::DeviceBuffer<Tsrc>& in,
-                                           std::int64_t height,
-                                           std::int64_t width,
-                                           simt::DeviceBuffer<Tout>& out)
-{
-    const simt::DeviceBuffer<Tsrc>* const ins[] = {&in};
-    simt::DeviceBuffer<Tout>* const outs[] = {&out};
-    return launch_opencv_horizontal_wave<Tout, Tsrc>(eng, ins, height,
-                                                     width, outs);
+    return simt::launch_phases(
+        eng, info, cfg, false,
+        opencv_horizontal_phases<Tout, Tsrc>(ins, width, outs));
 }
 
 template <typename Tout>
@@ -196,22 +190,10 @@ simt::LaunchStats launch_opencv_horizontal_8u_wave(
          static_cast<std::int64_t>(ins.size())},
         {rows_per_block * kWarpSize, 1, 1}};
     const simt::KernelInfo info{"opencv_horisontal_pass_8u_shfl", 40, 0};
-    return eng.launch(info, cfg, [&](simt::WarpCtx& w) {
+    return simt::launch_warps(eng, info, cfg, false, [&](auto& w) {
         const auto z = static_cast<std::size_t>(w.block_idx().z);
-        return opencv_horizontal_8u_warp<Tout>(w, *ins[z], height, width,
-                                               *outs[z]);
+        opencv_horizontal_8u_warp<Tout>(w, *ins[z], height, width, *outs[z]);
     });
-}
-
-template <typename Tout>
-simt::LaunchStats launch_opencv_horizontal_8u(
-    simt::Engine& eng, const simt::DeviceBuffer<std::uint8_t>& in,
-    std::int64_t height, std::int64_t width, simt::DeviceBuffer<Tout>& out)
-{
-    const simt::DeviceBuffer<std::uint8_t>* const ins[] = {&in};
-    simt::DeviceBuffer<Tout>* const outs[] = {&out};
-    return launch_opencv_horizontal_8u_wave<Tout>(eng, ins, height, width,
-                                                  outs);
 }
 
 template <typename Tout>
@@ -224,20 +206,10 @@ simt::LaunchStats launch_opencv_vertical_wave(
         {ceil_div(width, 256), 1, static_cast<std::int64_t>(datas.size())},
         {256, 1, 1}};
     const simt::KernelInfo info{"opencv_vertical_pass", 16, 0};
-    return eng.launch(info, cfg, [&](simt::WarpCtx& w) {
+    return simt::launch_warps(eng, info, cfg, false, [&](auto& w) {
         const auto z = static_cast<std::size_t>(w.block_idx().z);
-        return opencv_vertical_warp<Tout>(w, *datas[z], height, width);
+        opencv_vertical_warp<Tout>(w, *datas[z], height, width);
     });
-}
-
-template <typename Tout>
-simt::LaunchStats launch_opencv_vertical(simt::Engine& eng,
-                                         simt::DeviceBuffer<Tout>& data,
-                                         std::int64_t height,
-                                         std::int64_t width)
-{
-    simt::DeviceBuffer<Tout>* const datas[] = {&data};
-    return launch_opencv_vertical_wave<Tout>(eng, datas, height, width);
 }
 
 } // namespace satgpu::baselines

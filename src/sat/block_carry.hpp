@@ -12,7 +12,6 @@
 #pragma once
 
 #include "sat/tile_io.hpp"
-#include "simt/kernel_task.hpp"
 #include "simt/native_backend.hpp"
 #include "simt/profiler.hpp"
 
@@ -76,31 +75,6 @@ void block_carry_gather(W& w, LaneVec<T>& exclusive, LaneVec<T>& block_total)
     block_total = sm.load_row(std::int64_t{wc - 1} * kWarpSize);
 }
 
-/// After co_await: `exclusive[l]` = sum of `partial[l]` over all warps with
-/// smaller warpId, and `block_total[l]` = sum over every warp in the block.
-/// The SubTask form, for simulator-only kernels that co_await it; phase-list
-/// kernels use block_carry_steps below.
-template <typename T>
-simt::SubTask<> block_exclusive_carry(simt::WarpCtx& w,
-                                      const LaneVec<T>& partial,
-                                      LaneVec<T>& exclusive,
-                                      LaneVec<T>& block_total)
-{
-    const simt::ProfileRange prof_range{"block-carry"};
-    block_carry_deposit(w, partial);
-    co_await w.sync();
-
-    block_carry_scan<T>(w);
-    co_await w.sync();
-
-    block_carry_gather(w, exclusive, block_total);
-
-    // The staging matrix is reused on the caller's next round; without this
-    // barrier a warp that races ahead could overwrite partials a neighbour
-    // has not read yet (a real hazard on hardware as well).
-    co_await w.sync();
-}
-
 /// Per-warp state of a phase-list kernel that carries across its block's
 /// warps (block_carry_steps) and across its chunk loop (`run_carry`).
 template <typename T>
@@ -112,9 +86,11 @@ struct CarryState {
     LaneVec<T> total;     ///< gathered by block_carry_steps
 };
 
-/// block_exclusive_carry as phase-list steps (simt::phase_list) over a
-/// CarryState: deposit `partial`, then the same three barriers, leaving
-/// `exclusive` and `total` set.
+/// The carry as phase-list steps (simt::phase_list) over a CarryState:
+/// deposit `partial` (step #1), barrier, scan (step #2), barrier, gather
+/// (step #3), barrier.  Afterwards `exclusive[l]` is the sum of
+/// `partial[l]` over all warps with smaller warpId and `total[l]` the sum
+/// over every warp in the block.
 template <typename T>
 [[nodiscard]] auto block_carry_steps()
 {
@@ -133,8 +109,9 @@ template <typename T>
             const simt::ProfileRange pr{"block-carry"};
             block_carry_gather(w, st.exclusive, st.total);
         },
-        // Protects the staging matrix from the next round's deposits, as
-        // in block_exclusive_carry.
+        // The staging matrix is reused on the caller's next round; without
+        // this barrier a warp that races ahead could overwrite partials a
+        // neighbour has not read yet (a real hazard on hardware as well).
         simt::barrier};
 }
 

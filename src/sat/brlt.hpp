@@ -5,8 +5,8 @@
 // (conflict free), then columns are read back lane-parallel (conflict free
 // BECAUSE of the 33-element stride).  Shared memory holds only S tiles
 // (S = 32 / sizeof(T), Sec. IV-2), so warps take turns in groups of S with
-// a block barrier between rounds -- which is why BRLT is a SubTask, or in
-// a phase list a simt::Rounds step.
+// a block barrier between rounds -- which is why BRLT is a phase-list
+// simt::Rounds step.
 //
 // `padded = false` removes the +1 stride (the ablation for the paper's
 // bank-conflict claim); the transpose stays correct but every column read
@@ -15,7 +15,6 @@
 
 #include "core/math.hpp"
 #include "sat/tile_io.hpp"
-#include "simt/kernel_task.hpp"
 #include "simt/native_backend.hpp"
 #include "simt/profiler.hpp"
 
@@ -67,29 +66,12 @@ void brlt_transpose_round(W& w, RegTile<T>& data, bool padded,
     sm.load_transposed(base, stride, data);
 }
 
-/// Alg. 5: transpose the warp's register matrix in place -- the SubTask
-/// form, for simulator-only kernels that co_await it; phase-list kernels
-/// use brlt_transpose_rounds below.
-template <typename T>
-simt::SubTask<> brlt_transpose(simt::WarpCtx& w, RegTile<T>& data,
-                               bool padded = true)
-{
-    const simt::ProfileRange prof_range{"brlt-transpose"};
-    const int group = brlt_group_size<T>();
-    const int warp_count = w.warps_per_block();
-
-    for (int i = 0; i < warp_count; i += group) {
-        brlt_transpose_round(w, data, padded, i);
-        // Alg. 5 lines 15-17 sync the warps still waiting for a tile; under
-        // the engine's rendezvous semantics an unconditional barrier is
-        // equivalent (warps whose round is over simply wait here too).
-        co_await w.sync();
-    }
-}
-
 /// Alg. 5 as a phase-list step (simt::phase_list) for a block of
-/// `warp_count` warps: the rounds of brlt_transpose on the state's register
-/// tile `data`, each closed by a block barrier.
+/// `warp_count` warps: transpose the state's register tile `data` in
+/// place, one brlt_transpose_round per group of warps, each closed by a
+/// block barrier.  Alg. 5 lines 15-17 sync only the warps still waiting
+/// for a tile; under rendezvous semantics an unconditional barrier is
+/// equivalent (warps whose round is over simply wait too).
 template <typename T>
 [[nodiscard]] auto brlt_transpose_rounds(int warp_count, bool padded)
 {

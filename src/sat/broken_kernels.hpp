@@ -65,74 +65,6 @@ inline std::atomic<std::uint32_t>& tiled_carry_line_slot() noexcept
     return tiled_carry_line_slot().load();
 }
 
-/// brlt_transpose with the per-round barrier hoisted OUT of the round
-/// loop: round r+1's warps overwrite staging tiles that round r's warps
-/// wrote and read in the same barrier interval (smem-waw / smem-war on
-/// "brlt.tiles").
-template <typename T>
-simt::SubTask<> brlt_transpose_missing_barrier(simt::WarpCtx& w,
-                                               RegTile<T>& data,
-                                               bool padded = true)
-{
-    const int group = brlt_group_size<T>();
-    const std::int64_t stride = padded ? 33 : 32;
-    auto sm = w.smem_alloc<T>("brlt.tiles", group * 32 * stride);
-    const auto lane = LaneVec<std::int64_t>::lane_index();
-    const int warp_count = w.warps_per_block();
-
-    for (int i = 0; i < warp_count; i += group) {
-        if (i <= w.warp_id() && w.warp_id() < i + group) {
-            const std::int64_t k = w.warp_id() - i;
-            const std::int64_t base = k * 32 * stride;
-            for (int j = 0; j < kWarpSize; ++j)
-                { brlt_store_line_slot() = __LINE__; sm.store(lane + (base + j * stride), data[static_cast<std::size_t>(j)]); }
-            for (int j = 0; j < kWarpSize; ++j)
-                data[static_cast<std::size_t>(j)] =
-                    sm.load(lane * stride + (base + j));
-        }
-        // BUG: no co_await w.sync() here -- the next round reuses tile k
-        // without a barrier between the rounds' accesses.
-    }
-    co_await w.sync();
-}
-
-/// block_exclusive_carry without the barrier between warp 0's scan and
-/// the gather step: every other warp reads warp 0's same-interval scan
-/// writes (smem-raw on "carry.partials").
-template <typename T>
-simt::SubTask<> block_exclusive_carry_unsynced(simt::WarpCtx& w,
-                                               const LaneVec<T>& partial,
-                                               LaneVec<T>& exclusive,
-                                               LaneVec<T>& block_total)
-{
-    const int wc = w.warps_per_block();
-    auto sm = w.smem_alloc<T>("carry.partials",
-                              static_cast<std::int64_t>(wc) * kWarpSize);
-    const auto lane = LaneVec<std::int64_t>::lane_index();
-
-    sm.store(lane + std::int64_t{w.warp_id()} * kWarpSize, partial);
-    co_await w.sync();
-
-    if (w.warp_id() == 0) {
-        LaneVec<T> acc = sm.load(lane);
-        for (int i = 1; i < wc; ++i) {
-            const auto v = sm.load(lane + std::int64_t{i} * kWarpSize);
-            acc = simt::vadd(acc, v);
-            sm.store(lane + std::int64_t{i} * kWarpSize, acc);
-        }
-    }
-    // BUG: no co_await w.sync() here -- the gather below reads the scan's
-    // writes without a barrier.
-
-    exclusive = w.warp_id() == 0
-                    ? LaneVec<T>{}
-                    : sm.load(lane + std::int64_t{w.warp_id() - 1} *
-                                         kWarpSize);
-    { carry_load_line_slot() = __LINE__; block_total = sm.load(lane + std::int64_t{wc - 1} * kWarpSize); }
-
-    co_await w.sync();
-}
-
 /// The tiled executor's carry composition, miniaturized and broken: warp
 /// w stands for macro-tile w of a strip.  It publishes its tile's
 /// aggregate into smem slot w, then IMMEDIATELY reads the slots of every
@@ -174,35 +106,86 @@ struct BrokenRun {
 };
 
 /// One warp of the missing-barrier fixture: transpose the warp's stacked
-/// 32x32 tile of `src` (height x 32) into `dst` in place.
+/// 32x32 tile of `src` (height x 32) into `dst` in place, through BRLT
+/// with the per-round barrier hoisted OUT of the round loop: round r+1's
+/// warps overwrite staging tiles that round r's warps wrote and read in the
+/// same barrier interval (smem-waw / smem-war on "brlt.tiles").
 template <typename T>
 simt::KernelTask broken_brlt_warp(simt::WarpCtx& w,
                                   const simt::DeviceBuffer<T>& src,
                                   std::int64_t height,
                                   simt::DeviceBuffer<T>& dst)
 {
-    RegTile<T> tile;
+    RegTile<T> data;
     const std::int64_t row0 = std::int64_t{w.warp_id()} * kWarpSize;
-    load_tile_rows(src, height, kWarpSize, row0, 0, tile);
-    co_await brlt_transpose_missing_barrier(w, tile);
-    store_tile_rows(dst, height, kWarpSize, row0, 0, tile);
+    load_tile_rows(src, height, kWarpSize, row0, 0, data);
+
+    const int group = brlt_group_size<T>();
+    constexpr std::int64_t stride = 33;
+    auto sm = w.smem_alloc<T>("brlt.tiles", group * 32 * stride);
+    const auto lane = LaneVec<std::int64_t>::lane_index();
+    const int warp_count = w.warps_per_block();
+    for (int i = 0; i < warp_count; i += group) {
+        if (i <= w.warp_id() && w.warp_id() < i + group) {
+            const std::int64_t k = w.warp_id() - i;
+            const std::int64_t base = k * 32 * stride;
+            for (int j = 0; j < kWarpSize; ++j)
+                { brlt_store_line_slot() = __LINE__; sm.store(lane + (base + j * stride), data[static_cast<std::size_t>(j)]); }
+            for (int j = 0; j < kWarpSize; ++j)
+                data[static_cast<std::size_t>(j)] =
+                    sm.load(lane * stride + (base + j));
+        }
+        // BUG: no co_await w.sync() here -- the next round reuses tile k
+        // without a barrier between the rounds' accesses.
+    }
+    co_await w.sync();
+
+    store_tile_rows(dst, height, kWarpSize, row0, 0, data);
 }
 
-/// One warp of the unsynced-carry fixture: partial = warp_id + 1 on every
-/// lane; the resulting exclusive prefix and block total go to `excl` /
-/// `total` at the warp's row.
+/// One warp of the unsynced-carry fixture: the Fig. 3c block carry
+/// without the barrier between warp 0's scan and the gather step, so every
+/// other warp reads warp 0's same-interval scan writes (smem-raw on
+/// "carry.partials").  partial = warp_id + 1 on every lane; the resulting
+/// exclusive prefix and block total go to `excl` / `total` at the warp's
+/// row of its block's rows.
 template <typename T>
 simt::KernelTask broken_carry_warp(simt::WarpCtx& w,
                                    simt::DeviceBuffer<T>& excl,
                                    simt::DeviceBuffer<T>& total)
 {
+    const int wc = w.warps_per_block();
+    auto sm = w.smem_alloc<T>("carry.partials",
+                              static_cast<std::int64_t>(wc) * kWarpSize);
+    const auto lane = LaneVec<std::int64_t>::lane_index();
     const auto partial =
         LaneVec<T>::broadcast(static_cast<T>(w.warp_id() + 1));
-    LaneVec<T> exclusive, block_total;
-    co_await block_exclusive_carry_unsynced(w, partial, exclusive,
-                                            block_total);
-    const auto idx = LaneVec<std::int64_t>::lane_index() +
-                     std::int64_t{w.warp_id()} * kWarpSize;
+
+    sm.store(lane + std::int64_t{w.warp_id()} * kWarpSize, partial);
+    co_await w.sync();
+
+    if (w.warp_id() == 0) {
+        LaneVec<T> acc = sm.load(lane);
+        for (int i = 1; i < wc; ++i) {
+            const auto v = sm.load(lane + std::int64_t{i} * kWarpSize);
+            acc = simt::vadd(acc, v);
+            sm.store(lane + std::int64_t{i} * kWarpSize, acc);
+        }
+    }
+    // BUG: no co_await w.sync() here -- the gather below reads the scan's
+    // writes without a barrier.
+
+    const LaneVec<T> exclusive =
+        w.warp_id() == 0
+            ? LaneVec<T>{}
+            : sm.load(lane + std::int64_t{w.warp_id() - 1} * kWarpSize);
+    LaneVec<T> block_total;
+    { carry_load_line_slot() = __LINE__; block_total = sm.load(lane + std::int64_t{wc - 1} * kWarpSize); }
+
+    co_await w.sync();
+
+    const auto idx =
+        lane + (w.block_idx().x * wc + w.warp_id()) * kWarpSize;
     excl.store(idx, exclusive);
     total.store(idx, block_total);
 }

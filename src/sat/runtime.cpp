@@ -247,9 +247,8 @@ double Runtime::predict_tiled_us(Algorithm algo, DtypePair dt,
         us += static_cast<double>(s.count) *
               predict_us(algo, dt, s.h, s.w, gpu, opt);
 
-    // The macro-tile carry pass always runs on the simulator (it has no
-    // native lowering), so its modeled term is kept for every backend; it
-    // is negligible against the per-tile kernel time at any real size.
+    // The macro-tile carry pass's modeled term is kept for every backend;
+    // it is negligible against the per-tile kernel time at any real size.
     const simt::LaunchStats carry = predict_tile_carry(
         height, width, tile,
         static_cast<std::int64_t>(dtype_size(dt.out)));
@@ -293,12 +292,53 @@ AnyMatrix Runtime::query_reference(const AnyMatrix& image, Dtype out,
 
 namespace {
 
+/// The trip probe: the one pass of `algo` whose chunk or strip loop a
+/// probe must cross -- ScanColumn, or the BRLT pair's transposed pass --
+/// launched alone on a 1057-element line (1024 + 33), so it runs two
+/// 1024-row strips or 1024-column chunks (three of 512 for 64f).  It must
+/// run hazard free on the simulator, produce the line's prefix sums and
+/// match natively.  A full SAT crossing the same boundary would first run
+/// a 33-block pass of mostly empty 32-warp blocks, tens of milliseconds of
+/// checked simulation per certificate.
+template <typename T>
+bool trip_probe(simt::Engine& eng, Algorithm algo, const PlanRequest& req)
+{
+    constexpr std::int64_t kLine = 1057;
+    Matrix<T> line(1, kLine);
+    fill_random(line, /*seed=*/1729);
+    const auto in = simt::DeviceBuffer<T>::from_matrix(line);
+    const simt::DeviceBuffer<T>* const ins[] = {&in};
+    // The pass's output, which is the line's prefix sums in either layout;
+    // nothing when the simulator run reports a hazard.
+    const auto run = [&](bool native) -> std::optional<Matrix<T>> {
+        simt::DeviceBuffer<T> out(kLine);
+        simt::DeviceBuffer<T>* const outs[] = {&out};
+        const simt::CheckScope check_scope(eng, !native);
+        simt::LaunchStats s;
+        if (algo == Algorithm::kBrltScanRow)
+            s = launch_brlt_scanrow_wave<T, T>(eng, ins, 1, kLine, outs,
+                                               req.padded_smem, 0, native);
+        else if (algo == Algorithm::kScanRowBrlt)
+            s = launch_scanrow_brlt_wave<T, T>(eng, ins, 1, kLine, outs,
+                                               req.warp_scan,
+                                               req.padded_smem, native);
+        else
+            s = launch_scancolumn_wave<T>(eng, ins, kLine, 1, outs, native);
+        if (simt::total_hazards({&s, 1}) != 0)
+            return std::nullopt;
+        return std::move(out).release_matrix(1, kLine);
+    };
+    const auto sim = run(false);
+    return sim && *sim == sat_serial<T>(line) && run(true) == sim;
+}
+
 /// The default certification probe (docs/backends.md).  A configuration
 /// earns its certificate by passing, at a small RAGGED probe shape (the
 /// off-by-one edges exercise every predication path a bigger image hits):
 ///   1. a hazard-checked simulator run reporting ZERO hazards,
 ///   2. exact agreement of that run with the serial CPU oracle,
-///   3. a bit-exact native-vs-simulator diff (tiled too, for tiled plans).
+///   3. a bit-exact native-vs-simulator diff (tiled too, for tiled plans),
+/// and the trip probe above.
 /// The verdict is shape independent because every barrier kernel is a
 /// simt::phase_list (simt/native_backend.hpp), whose structure makes it
 /// so: trip counts depend only on the block index and round counts are
@@ -332,10 +372,12 @@ bool certification_probe(Algorithm algo, const PlanRequest& req)
     nat_opt.backend = Backend::kNative;
     if (!(compute_sat<Tout>(eng, img, nat_opt).table == sim.table))
         return false;
+    if (!trip_probe<Tout>(eng, algo, req))
+        return false;
 
     // Tiled configs re-diff through the macro-tile pipeline (per-tile
-    // kernels native, carry pass simulated) at a probe tile small enough
-    // to tile the probe shape into a 2x3 ragged grid.
+    // kernels and the carry pass native) at a probe tile small enough to
+    // tile the probe shape into a 2x3 ragged grid.
     const TileGeometry probe_tile{64, 64, req.tile.carry_fanout};
     if (req.tile.enabled() &&
         !(compute_sat_tiled<Tout>(eng, img, probe_tile, nat_opt).table ==

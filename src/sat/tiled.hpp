@@ -117,17 +117,19 @@ struct TileCarryArgs {
     std::int64_t tw = 0;
 };
 
-/// Carry-combine warp program: one warp per block; block.x selects a
-/// 32-row band of the tile, block.y selects the tile within the launch
-/// group.  Each band loads its 32 row-carries once (coalesced, pre-biased
-/// by the corner term) and broadcasts row j's scalar with a shuffle, so
-/// the data path per element is exactly two adds.
-template <typename T>
-simt::KernelTask tile_carry_warp(simt::WarpCtx& w, const TileCarryArgs<T>& a)
+/// Carry-combine warp body, the kernel source both lowerings share (W =
+/// simt::WarpCtx or simt::NativeWarpCtx): one warp per block; block.x
+/// selects a 32-row band of the tile, block.y selects the tile within the
+/// launch group.  Each band loads its 32 row-carries once (coalesced,
+/// pre-biased by the corner term) and broadcasts row j's scalar with a
+/// shuffle, so the data path per element is exactly two adds.  Barrier
+/// free, so simt::launch_warps runs it on either backend.
+template <typename T, typename W>
+void tile_carry_warp(W& w, const TileCarryArgs<T>& a)
 {
     const std::int64_t row0 = w.block_idx().x * kWarpSize;
     if (row0 >= a.th)
-        co_return; // band beyond this (shorter, ragged) tile's rows
+        return; // band beyond this (shorter, ragged) tile's rows
     const simt::ProfileRange range{"carry-combine"};
 
     const auto lane = LaneVec<std::int64_t>::lane_index();
@@ -153,11 +155,13 @@ simt::KernelTask tile_carry_warp(simt::WarpCtx& w, const TileCarryArgs<T>& a)
 /// Launch the carry combine for a group of tiles (grid.y = tile in group,
 /// grid.x = 32-row bands of the tallest tile; shorter tiles' excess bands
 /// exit immediately).  Blocks write disjoint rows of per-tile buffers, so
-/// the launch respects the engine's disjoint-write discipline.
+/// the launch respects the engine's disjoint-write discipline.  `native`
+/// selects the vectorized host lowering.
 template <typename T>
 [[nodiscard]] simt::LaunchStats
 launch_tile_carry_combine(simt::Engine& eng,
-                          std::span<const TileCarryArgs<T>> tiles)
+                          std::span<const TileCarryArgs<T>> tiles,
+                          bool native)
 {
     std::int64_t max_bands = 1;
     for (const auto& a : tiles)
@@ -167,9 +171,9 @@ launch_tile_carry_combine(simt::Engine& eng,
     const simt::LaunchConfig cfg{
         {max_bands, static_cast<std::int64_t>(tiles.size()), 1},
         {kWarpSize, 1, 1}};
-    return eng.launch(info, cfg, [&](simt::WarpCtx& w) {
-        return tile_carry_warp<T>(
-            w, tiles[static_cast<std::size_t>(w.block_idx().y)]);
+    return simt::launch_warps(eng, info, cfg, native, [&](auto& w) {
+        tile_carry_warp<T>(w,
+                           tiles[static_cast<std::size_t>(w.block_idx().y)]);
     });
 }
 
@@ -290,8 +294,8 @@ template <typename Tout, typename Tin>
         const auto flush = [&]() {
             if (args.empty())
                 return;
-            res.launches.push_back(
-                launch_tile_carry_combine<Tout>(eng, args));
+            res.launches.push_back(launch_tile_carry_combine<Tout>(
+                eng, args, opt.backend == Backend::kNative));
             for (const Staged& s : group) {
                 const auto host = s.tile->host();
                 for (std::int64_t y = 0; y < s.rect.h; ++y)

@@ -4,48 +4,70 @@
 // first stage of the device-wide scan.
 #pragma once
 
+#include "core/check.hpp"
 #include "scan/warp_scan.hpp"
-#include "simt/kernel_task.hpp"
-#include "simt/warp_ctx.hpp"
+#include "simt/native_backend.hpp"
+
+#include <tuple>
 
 namespace satgpu::scan {
 
-/// In place: v[l] becomes the inclusive prefix over all block threads up to
-/// (warp_id*32 + l); `block_total` receives the sum over the whole block in
-/// every lane.  Ends with a barrier so the staging buffer is immediately
-/// reusable.  Requires warps_per_block <= 32.
+/// Per-warp state of a phase-list kernel built on block_scan_steps.
 template <typename T>
-simt::SubTask<> block_inclusive_scan(simt::WarpCtx& w, LaneVec<T>& v,
-                                     LaneVec<T>& block_total,
-                                     WarpScanKind kind = WarpScanKind::kKoggeStone)
+struct BlockScanState {
+    LaneVec<T> v;     ///< one value per thread, scanned in place
+    LaneVec<T> total; ///< the block total, in every lane
+    LaneVec<T> carry; ///< the kernel's running prefix over earlier chunks
+};
+
+/// The block-wide inclusive scan as phase-list steps (simt::phase_list)
+/// over a BlockScanState: afterwards st.v[l] is the inclusive prefix over
+/// all block threads up to (warp_id*32 + l) and st.total the sum over the
+/// whole block.  Three barriers; the last makes the staging buffer
+/// immediately reusable.  Requires warps_per_block <= 32.
+template <typename T>
+[[nodiscard]] auto
+block_scan_steps(WarpScanKind kind = WarpScanKind::kKoggeStone)
 {
-    const int wc = w.warps_per_block();
-    SATGPU_EXPECTS(wc <= kWarpSize);
-    auto sm = w.smem_alloc<T>("blockscan.totals", wc);
-    const auto lane = LaneVec<std::int64_t>::lane_index();
-    const simt::LaneMask lead = 0x1u;
-    const simt::LaneMask warps_mask =
-        wc >= kWarpSize ? simt::kFullMask : ((1u << wc) - 1u);
-
-    v = warp_inclusive_scan(kind, v);
-    sm.store(LaneVec<std::int64_t>::broadcast(w.warp_id()),
-             simt::shfl(v, kWarpSize - 1), lead);
-    co_await w.sync();
-
-    if (w.warp_id() == 0) {
-        auto totals = sm.load(lane, warps_mask);
-        totals = warp_inclusive_scan(kind, totals);
-        sm.store(lane, totals, warps_mask);
-    }
-    co_await w.sync();
-
-    if (w.warp_id() > 0) {
-        const auto prev =
-            sm.load(LaneVec<std::int64_t>::broadcast(w.warp_id() - 1));
-        v = simt::vadd(v, prev);
-    }
-    block_total = sm.load(LaneVec<std::int64_t>::broadcast(wc - 1));
-    co_await w.sync();
+    const auto totals = [](auto& w) {
+        return w.template smem_alloc<T>("blockscan.totals",
+                                        w.warps_per_block());
+    };
+    return std::tuple{
+        // Each warp scans its values and lane 31 deposits the warp total.
+        [kind, totals](auto& w, BlockScanState<T>& st, std::int64_t) {
+            SATGPU_EXPECTS(w.warps_per_block() <= kWarpSize);
+            st.v = warp_inclusive_scan(kind, st.v);
+            totals(w).store(LaneVec<std::int64_t>::broadcast(w.warp_id()),
+                            simt::shfl(st.v, kWarpSize - 1), 0x1u);
+        },
+        simt::barrier,
+        // Warp 0 scans the warp totals.
+        [kind, totals](auto& w, BlockScanState<T>&, std::int64_t) {
+            if (w.warp_id() != 0)
+                return;
+            const int wc = w.warps_per_block();
+            const simt::LaneMask warps_mask =
+                wc >= kWarpSize ? simt::kFullMask : ((1u << wc) - 1u);
+            const auto lane = LaneVec<std::int64_t>::lane_index();
+            auto sm = totals(w);
+            auto t = sm.load(lane, warps_mask);
+            t = warp_inclusive_scan(kind, t);
+            sm.store(lane, t, warps_mask);
+        },
+        simt::barrier,
+        // Every warp adds its predecessors' total and reads the block's.
+        [totals](auto& w, BlockScanState<T>& st, std::int64_t) {
+            auto sm = totals(w);
+            if (w.warp_id() > 0) {
+                const auto prev =
+                    sm.load(LaneVec<std::int64_t>::broadcast(w.warp_id() - 1));
+                st.v = simt::vadd(st.v, prev);
+            }
+            st.total = sm.load(
+                LaneVec<std::int64_t>::broadcast(w.warps_per_block() - 1));
+        },
+        simt::barrier};
 }
 
 } // namespace satgpu::scan

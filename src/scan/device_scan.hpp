@@ -13,66 +13,21 @@
 #include "simt/engine.hpp"
 #include "simt/global_memory.hpp"
 
+#include <utility>
 #include <vector>
 
 namespace satgpu::scan {
 
 namespace detail {
 
-template <typename T>
-simt::KernelTask scan_partial_warp(simt::WarpCtx& w,
-                                   const simt::DeviceBuffer<T>& in,
-                                   simt::DeviceBuffer<T>& out,
-                                   simt::DeviceBuffer<T>& totals,
-                                   WarpScanKind kind)
-{
-    const std::int64_t n = in.size();
-    const std::int64_t chunk =
-        std::int64_t{w.warps_per_block()} * kWarpSize;
-    const std::int64_t base =
-        w.block_idx().x * chunk + std::int64_t{w.warp_id()} * kWarpSize;
-
-    const simt::LaneMask m = simt::lanes_in_range(base, n);
-
-    auto v = in.load_row(base, m);
-    LaneVec<T> total;
-    co_await block_inclusive_scan(w, v, total, kind);
-    out.store_row(base, v, m);
-    // Lane 0 of warp 0 records the block total.
-    totals.store(LaneVec<std::int64_t>::broadcast(w.block_idx().x), total,
-                 w.warp_id() == 0 ? 0x1u : 0u);
-}
-
-/// Single-block kernel: inclusive scan of the block totals, looping over
-/// the aux buffer in block-sized strides with a running carry.
-template <typename T>
-simt::KernelTask scan_offsets_warp(simt::WarpCtx& w,
-                                   simt::DeviceBuffer<T>& totals,
-                                   WarpScanKind kind)
-{
-    const std::int64_t n = totals.size();
-    const std::int64_t chunk =
-        std::int64_t{w.warps_per_block()} * kWarpSize;
-    LaneVec<T> carry{};
-    for (std::int64_t c0 = 0; c0 < n; c0 += chunk) {
-        const std::int64_t base = c0 + std::int64_t{w.warp_id()} * kWarpSize;
-        const simt::LaneMask m = simt::lanes_in_range(base, n);
-        auto v = totals.load_row(base, m);
-        LaneVec<T> total;
-        co_await block_inclusive_scan(w, v, total, kind);
-        v = simt::vadd(v, carry);
-        totals.store_row(base, v, m);
-        carry = simt::vadd(carry, total);
-    }
-}
-
-template <typename T>
-simt::KernelTask scan_add_offsets_warp(simt::WarpCtx& w,
-                                       simt::DeviceBuffer<T>& data,
-                                       const simt::DeviceBuffer<T>& offsets)
+/// Add offset[b - 1] to every element of block b's chunk (block 0 has no
+/// predecessor).  Barrier free.
+template <typename T, typename W>
+void scan_add_offsets_warp(W& w, simt::DeviceBuffer<T>& data,
+                           const simt::DeviceBuffer<T>& offsets)
 {
     if (w.block_idx().x == 0)
-        co_return; // block 0 has no predecessor
+        return; // block 0 has no predecessor
     const std::int64_t n = data.size();
     const std::int64_t chunk =
         std::int64_t{w.warps_per_block()} * kWarpSize;
@@ -80,7 +35,7 @@ simt::KernelTask scan_add_offsets_warp(simt::WarpCtx& w,
         w.block_idx().x * chunk + std::int64_t{w.warp_id()} * kWarpSize;
     const simt::LaneMask m = simt::lanes_in_range(base, n);
     if (m == 0)
-        co_return;
+        return;
     const auto off = offsets.load(
         LaneVec<std::int64_t>::broadcast(w.block_idx().x - 1), 0x1u);
     const auto bcast = LaneVec<T>::broadcast(off.get(0));
@@ -107,23 +62,59 @@ device_inclusive_scan(simt::Engine& eng, const simt::DeviceBuffer<T>& in,
     simt::DeviceBuffer<T> totals(blocks);
     std::vector<simt::LaunchStats> launches;
 
-    launches.push_back(eng.launch(
-        {"scan_partial", 24, 8 * static_cast<std::int64_t>(sizeof(T))},
-        {{blocks, 1, 1}, {kBlock, 1, 1}}, [&](simt::WarpCtx& w) {
-            return detail::scan_partial_warp<T>(w, in, out, totals, kind);
-        }));
+    const std::int64_t smem = 8 * static_cast<std::int64_t>(sizeof(T));
+    // Warp w's 32 elements of block-sized chunk c of an n-element buffer:
+    // first index and in-range lanes.
+    const auto slice = [](const auto& w, std::int64_t c, std::int64_t n) {
+        const std::int64_t base = c * kBlock + std::int64_t{w.warp_id()} *
+                                                   kWarpSize;
+        return std::pair{base, simt::lanes_in_range(base, n)};
+    };
+
+    // 1. Every block scans its chunk; warp 0's lane 0 records the total.
+    launches.push_back(simt::launch_phases(
+        eng, {"scan_partial", 24, smem}, {{blocks, 1, 1}, {kBlock, 1, 1}},
+        false,
+        simt::phase_list<BlockScanState<T>>(
+            [](simt::Dim3) { return std::int64_t{1}; },
+            [&](auto& w, BlockScanState<T>& st, std::int64_t) {
+                const auto [base, m] = slice(w, w.block_idx().x, in.size());
+                st.v = in.load_row(base, m);
+            },
+            block_scan_steps<T>(kind),
+            [&](auto& w, BlockScanState<T>& st, std::int64_t) {
+                const auto [base, m] = slice(w, w.block_idx().x, in.size());
+                out.store_row(base, st.v, m);
+                totals.store(
+                    LaneVec<std::int64_t>::broadcast(w.block_idx().x),
+                    st.total, w.warp_id() == 0 ? 0x1u : 0u);
+            })));
     if (blocks == 1)
         return launches;
 
-    launches.push_back(eng.launch(
-        {"scan_offsets", 24, 8 * static_cast<std::int64_t>(sizeof(T))},
-        {{1, 1, 1}, {kBlock, 1, 1}}, [&](simt::WarpCtx& w) {
-            return detail::scan_offsets_warp<T>(w, totals, kind);
-        }));
-    launches.push_back(eng.launch(
-        {"scan_add_offsets", 16, 0}, {{blocks, 1, 1}, {kBlock, 1, 1}},
-        [&](simt::WarpCtx& w) {
-            return detail::scan_add_offsets_warp<T>(w, out, totals);
+    // 2. One block scans the totals in block-sized chunks with a running
+    // carry.
+    launches.push_back(simt::launch_phases(
+        eng, {"scan_offsets", 24, smem}, {{1, 1, 1}, {kBlock, 1, 1}}, false,
+        simt::phase_list<BlockScanState<T>>(
+            [&](simt::Dim3) { return ceil_div(totals.size(), kBlock); },
+            [&](auto& w, BlockScanState<T>& st, std::int64_t c) {
+                const auto [base, m] = slice(w, c, totals.size());
+                st.v = totals.load_row(base, m);
+            },
+            block_scan_steps<T>(kind),
+            [&](auto& w, BlockScanState<T>& st, std::int64_t c) {
+                const auto [base, m] = slice(w, c, totals.size());
+                st.v = simt::vadd(st.v, st.carry);
+                totals.store_row(base, st.v, m);
+                st.carry = simt::vadd(st.carry, st.total);
+            })));
+
+    // 3. Every block adds its predecessors' offset.
+    launches.push_back(simt::launch_warps(
+        eng, {"scan_add_offsets", 16, 0}, {{blocks, 1, 1}, {kBlock, 1, 1}},
+        false, [&](auto& w) {
+            detail::scan_add_offsets_warp<T>(w, out, totals);
         }));
     return launches;
 }

@@ -77,18 +77,12 @@ std::int64_t run_block(Dim3 block_idx, const LaunchConfig& cfg,
                 prof->switch_warp(&e.ranges);
             if (chk)
                 chk->set_active_warp(e.ctx.warp_id());
-            // Resume the innermost suspended frame (a nested SubTask's
-            // barrier, or the kernel body itself on first resume).
-            if (auto rp = e.ctx.resume_point())
-                rp.resume();
-            else
-                e.task.resume();
+            e.task.resume(); // rethrows what the warp threw
             if (prof)
                 prof->switch_warp(nullptr);
             if (chk)
                 chk->set_active_warp(-1);
             if (e.task.done()) {
-                e.task.rethrow_if_failed();
                 ++done;
             } else {
                 SATGPU_CHECK(e.ctx.at_barrier(),

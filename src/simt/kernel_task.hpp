@@ -6,16 +6,20 @@
 // warp of its block reaches a barrier, at which point the block scheduler
 // (engine.cpp) resumes all of them.
 //
-// Thread confinement: every coroutine frame of a block (the KernelTasks and
-// any nested SubTasks) is created, resumed, and destroyed by the single host
-// worker thread that owns the block for the duration of the launch.  The
-// promises hold no synchronization and need none; sharing a handle across
-// threads is outside the contract.
+// A kernel with barriers is written once as a phase list
+// (simt/native_backend.hpp), whose simulator lowering is one KernelTask per
+// warp; a warp program is one flat frame, with no nested coroutines, so the
+// scheduler always resumes the task itself.
+//
+// Thread confinement: every coroutine frame of a block is created,
+// resumed, and destroyed by the single host worker thread that owns the
+// block for the duration of the launch.  The promise holds no
+// synchronization and needs none; sharing a handle across threads is
+// outside the contract.
 #pragma once
 
 #include <coroutine>
 #include <exception>
-#include <type_traits>
 #include <utility>
 
 namespace satgpu::simt {
@@ -63,17 +67,6 @@ public:
     void resume()
     {
         h_.resume();
-        rethrow_if_failed();
-    }
-
-    /// The outermost coroutine handle (the engine's initial resume point).
-    [[nodiscard]] std::coroutine_handle<> handle() const noexcept
-    {
-        return h_;
-    }
-
-    void rethrow_if_failed() const
-    {
         if (h_.done() && h_.promise().exception)
             std::rethrow_exception(h_.promise().exception);
     }
@@ -89,109 +82,5 @@ private:
 
     std::coroutine_handle<promise_type> h_;
 };
-
-/// SubTask: a nested device "function" that may itself hit barriers.
-///
-/// Kernels factor reusable pieces that contain __syncthreads() -- BRLT
-/// (Alg. 5) and the Fig. 3c block-carry -- as SubTask coroutines and
-/// `co_await` them.  Suspension at a barrier deep inside a SubTask
-/// propagates to the engine through the warp's resume point (WarpCtx); on
-/// release, the engine resumes the innermost frame directly, and completion
-/// symmetric-transfers back into the caller.
-template <typename T>
-class SubTask;
-
-namespace detail {
-
-struct SubTaskPromiseBase {
-    std::coroutine_handle<> continuation;
-    std::exception_ptr exception;
-
-    std::suspend_always initial_suspend() noexcept { return {}; }
-    void unhandled_exception() noexcept
-    {
-        exception = std::current_exception();
-    }
-
-    template <typename Promise>
-    struct FinalAwaiter {
-        [[nodiscard]] bool await_ready() const noexcept { return false; }
-        std::coroutine_handle<>
-        await_suspend(std::coroutine_handle<Promise> h) noexcept
-        {
-            return h.promise().continuation;
-        }
-        void await_resume() const noexcept {}
-    };
-};
-
-template <typename T>
-struct SubTaskPromise : SubTaskPromiseBase {
-    T value{};
-    SubTask<T> get_return_object();
-    FinalAwaiter<SubTaskPromise> final_suspend() noexcept { return {}; }
-    void return_value(T v) { value = std::move(v); }
-};
-
-template <>
-struct SubTaskPromise<void> : SubTaskPromiseBase {
-    SubTask<void> get_return_object();
-    FinalAwaiter<SubTaskPromise> final_suspend() noexcept { return {}; }
-    void return_void() noexcept {}
-};
-
-} // namespace detail
-
-template <typename T = void>
-class SubTask {
-public:
-    using promise_type = detail::SubTaskPromise<T>;
-
-    explicit SubTask(std::coroutine_handle<promise_type> h) : h_(h) {}
-    SubTask(SubTask&& o) noexcept : h_(std::exchange(o.h_, nullptr)) {}
-    SubTask(const SubTask&) = delete;
-    SubTask& operator=(const SubTask&) = delete;
-    SubTask& operator=(SubTask&&) = delete;
-    ~SubTask()
-    {
-        if (h_)
-            h_.destroy();
-    }
-
-    [[nodiscard]] bool await_ready() const noexcept { return false; }
-    std::coroutine_handle<>
-    await_suspend(std::coroutine_handle<> caller) noexcept
-    {
-        h_.promise().continuation = caller;
-        return h_; // start the nested body via symmetric transfer
-    }
-    T await_resume()
-    {
-        if (h_.promise().exception)
-            std::rethrow_exception(h_.promise().exception);
-        if constexpr (!std::is_void_v<T>)
-            return std::move(h_.promise().value);
-    }
-
-private:
-    std::coroutine_handle<promise_type> h_;
-};
-
-namespace detail {
-
-template <typename T>
-SubTask<T> SubTaskPromise<T>::get_return_object()
-{
-    return SubTask<T>(
-        std::coroutine_handle<SubTaskPromise<T>>::from_promise(*this));
-}
-
-inline SubTask<void> SubTaskPromise<void>::get_return_object()
-{
-    return SubTask<void>(
-        std::coroutine_handle<SubTaskPromise<void>>::from_promise(*this));
-}
-
-} // namespace detail
 
 } // namespace satgpu::simt

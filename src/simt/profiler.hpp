@@ -218,7 +218,7 @@ private:
 
 /// NVTX-style scoped phase marker:
 ///
-///   { ProfileRange r{"brlt-transpose"};  co_await brlt_transpose(w, d); }
+///   { ProfileRange r{"scan-row"};  scan::serial_scan_registers(d); }
 ///
 /// `name` must outlive the range (use a string literal).  Safe across
 /// barrier suspensions (the scheduler's switch_warp hooks keep attribution

@@ -1,9 +1,9 @@
 // WarpCtx: everything a warp program can see -- its coordinates in the
 // grid, its lane vector, the block's shared memory, and the barrier.
 //
-// A WarpCtx (like the coroutine frames it anchors) is confined to the one
-// host worker thread running its block: the barrier flag and resume point
-// are mutable scheduler state that is never shared across blocks, which is
+// A WarpCtx (like the coroutine frame it anchors) is confined to the one
+// host worker thread running its block: the barrier flag and site are
+// mutable scheduler state that is never shared across blocks, which is
 // what lets the engine execute blocks concurrently with no locking.
 #pragma once
 
@@ -24,8 +24,8 @@ public:
     {
     }
 
-    // Movable (the scheduler stores warps in a vector) but not copyable: a
-    // duplicated resume point would let two schedulers resume one frame.
+    // Movable (the scheduler stores warps in a vector) but not copyable:
+    // the scheduler's barrier flag belongs to exactly one warp.
     WarpCtx(WarpCtx&&) noexcept = default;
     WarpCtx& operator=(WarpCtx&&) noexcept = default;
     WarpCtx(const WarpCtx&) = delete;
@@ -78,12 +78,9 @@ public:
     struct SyncAwaiter {
         WarpCtx* ctx;
         [[nodiscard]] bool await_ready() const noexcept { return false; }
-        void await_suspend(std::coroutine_handle<> h) const noexcept
+        void await_suspend(std::coroutine_handle<>) const noexcept
         {
-            // Record the innermost frame so the scheduler resumes exactly
-            // where the warp stopped, even inside a nested SubTask.
             ctx->at_barrier_ = true;
-            ctx->resume_point_ = h;
         }
         void await_resume() const noexcept {}
     };
@@ -101,10 +98,6 @@ public:
     // -- Scheduler interface (engine internal) ------------------------------
     [[nodiscard]] bool at_barrier() const noexcept { return at_barrier_; }
     void clear_barrier() noexcept { at_barrier_ = false; }
-    [[nodiscard]] std::coroutine_handle<> resume_point() const noexcept
-    {
-        return resume_point_;
-    }
     /// Site of this warp's most recent sync() call.
     [[nodiscard]] const std::source_location& barrier_site() const noexcept
     {
@@ -117,7 +110,6 @@ private:
     int warp_id_;
     SharedMemory* smem_;
     bool at_barrier_ = false;
-    std::coroutine_handle<> resume_point_;
     std::source_location barrier_site_{};
 };
 

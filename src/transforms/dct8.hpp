@@ -13,9 +13,11 @@
 #include "sat/brlt.hpp"
 #include "sat/launch_params.hpp"
 #include "simt/engine.hpp"
+#include "simt/native_backend.hpp"
 
 #include <array>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 namespace satgpu::transforms {
@@ -65,35 +67,54 @@ void dct8_registers(sat::RegTile<T>& data)
     data = out;
 }
 
+/// One transposing row pass (height x width -> width x height): block
+/// (0, y) owns rows [y*32, y*32+32); warp i holds the tile at column
+/// c*chunk_w + 32*i of chunk c, transposes it, and after the 8-point DCTs
+/// of its register rows stores it transposed, as the other BRLT passes do.
 template <typename T>
-simt::KernelTask dct8_rows_warp(simt::WarpCtx& w,
-                                const simt::DeviceBuffer<T>& in,
-                                std::int64_t height, std::int64_t width,
-                                simt::DeviceBuffer<T>& out)
+simt::LaunchStats launch_dct8_rows_pass(simt::Engine& eng,
+                                        const simt::DeviceBuffer<T>& in,
+                                        std::int64_t height,
+                                        std::int64_t width,
+                                        simt::DeviceBuffer<T>& out)
 {
-    using satgpu::ceil_div;
     using simt::kWarpSize;
-    const std::int64_t row0 = w.block_idx().y * kWarpSize;
-    const std::int64_t chunk_w =
-        std::int64_t{w.warps_per_block()} * kWarpSize;
-    const std::int64_t chunks = ceil_div(width, chunk_w);
+    const int wc = sat::warps_per_block<T>();
+    const simt::LaunchConfig cfg{
+        {1, ceil_div(height, kWarpSize), 1},
+        {std::int64_t{wc} * kWarpSize, 1, 1}};
+    const simt::KernelInfo info{"dct8_rows_brlt",
+                                sat::regs_per_thread<T>() + 32,
+                                sat::brlt_smem_bytes<T>()};
+    struct State {
+        sat::RegTile<T> data;
+    };
+    const std::int64_t chunk_w = std::int64_t{wc} * kWarpSize;
     const auto lane = simt::LaneVec<std::int64_t>::lane_index();
-    sat::RegTile<T> data;
-
-    for (std::int64_t c = 0; c < chunks; ++c) {
-        const std::int64_t col0 =
-            c * chunk_w + std::int64_t{w.warp_id()} * kWarpSize;
-        sat::load_tile_rows(in, height, width, row0, col0, data);
-        co_await sat::brlt_transpose(w, data);
-        dct8_registers(data);
-        // Transposed store, same layout as the other BRLT passes.
-        if (col0 >= width)
-            continue;
-        const simt::LaneMask rows = sat::cols_in_range(row0, height);
-        for (int j = 0; j < kWarpSize; ++j)
-            out.store(lane + ((col0 + j) * height + row0),
-                      data[static_cast<std::size_t>(j)], rows);
-    }
+    const auto corner = [&](const auto& w, std::int64_t c) {
+        return std::pair{w.block_idx().y * kWarpSize,
+                         c * chunk_w + std::int64_t{w.warp_id()} * kWarpSize};
+    };
+    return simt::launch_phases(
+        eng, info, cfg, false,
+        simt::phase_list<State>(
+            [&](simt::Dim3) { return ceil_div(width, chunk_w); },
+            [&](auto& w, State& st, std::int64_t c) {
+                const auto [row0, col0] = corner(w, c);
+                sat::load_tile_rows(in, height, width, row0, col0, st.data);
+            },
+            sat::brlt_transpose_rounds<T>(wc, true),
+            [&](auto& w, State& st, std::int64_t c) {
+                const auto [row0, col0] = corner(w, c);
+                dct8_registers(st.data);
+                // Transposed store, same layout as the other BRLT passes.
+                if (col0 >= width)
+                    return;
+                const simt::LaneMask rows = sat::cols_in_range(row0, height);
+                for (int j = 0; j < kWarpSize; ++j)
+                    out.store(lane + ((col0 + j) * height + row0),
+                              st.data[static_cast<std::size_t>(j)], rows);
+            }));
 }
 
 } // namespace detail
@@ -118,21 +139,8 @@ template <typename T>
     simt::DeviceBuffer<T> mid(w * h), out(h * w);
     DctResult<T> res;
 
-    const int wc = sat::warps_per_block<T>();
-    const simt::KernelInfo info{"dct8_rows_brlt", sat::regs_per_thread<T>() + 32,
-                                sat::brlt_smem_bytes<T>()};
-    const auto pass = [&](const simt::DeviceBuffer<T>& src, std::int64_t ph,
-                          std::int64_t pw, simt::DeviceBuffer<T>& dst) {
-        return eng.launch(
-            info,
-            {{1, ceil_div(ph, simt::kWarpSize), 1},
-             {std::int64_t{wc} * simt::kWarpSize, 1, 1}},
-            [&](simt::WarpCtx& wctx) {
-                return detail::dct8_rows_warp<T>(wctx, src, ph, pw, dst);
-            });
-    };
-    res.launches.push_back(pass(in, h, w, mid));
-    res.launches.push_back(pass(mid, w, h, out));
+    res.launches.push_back(detail::launch_dct8_rows_pass(eng, in, h, w, mid));
+    res.launches.push_back(detail::launch_dct8_rows_pass(eng, mid, w, h, out));
     res.coeffs = std::move(out).release_matrix(h, w);
     return res;
 }

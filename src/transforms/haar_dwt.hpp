@@ -18,7 +18,10 @@
 #include "sat/brlt.hpp"
 #include "sat/launch_params.hpp"
 #include "simt/engine.hpp"
+#include "simt/native_backend.hpp"
 
+#include <array>
+#include <utility>
 #include <vector>
 
 namespace satgpu::transforms {
@@ -27,54 +30,10 @@ using sat::RegTile;
 using simt::kWarpSize;
 using simt::LaneVec;
 
-/// One warp of the transposing Haar row pass: in (height x width) ->
-/// out (width x height) holding [low | high] per row, transposed.
-template <typename T>
-simt::KernelTask haar_rows_warp(simt::WarpCtx& w,
-                                const simt::DeviceBuffer<T>& in,
-                                std::int64_t height, std::int64_t width,
-                                simt::DeviceBuffer<T>& out, bool padded_smem)
-{
-    const std::int64_t row0 = w.block_idx().y * kWarpSize;
-    const std::int64_t chunk_w =
-        std::int64_t{w.warps_per_block()} * kWarpSize;
-    const std::int64_t chunks = ceil_div(width, chunk_w);
-    const auto lane = LaneVec<std::int64_t>::lane_index();
-    RegTile<T> data;
-
-    for (std::int64_t c = 0; c < chunks; ++c) {
-        const std::int64_t col0 =
-            c * chunk_w + std::int64_t{w.warp_id()} * kWarpSize;
-        sat::load_tile_rows(in, height, width, row0, col0, data);
-        co_await sat::brlt_transpose(w, data, padded_smem);
-
-        // Intra-thread butterflies: register pairs (2j, 2j+1) -> (sum, diff).
-        std::array<LaneVec<T>, kWarpSize / 2> low, high;
-        for (int j = 0; j < kWarpSize / 2; ++j) {
-            const auto& a = data[static_cast<std::size_t>(2 * j)];
-            const auto& b = data[static_cast<std::size_t>(2 * j + 1)];
-            low[static_cast<std::size_t>(j)] = simt::vadd(a, b);
-            high[static_cast<std::size_t>(j)] = LaneVec<T>::zip(
-                a, b, [](T x, T y) { return static_cast<T>(x - y); });
-            simt::detail::count_adds(kWarpSize); // the subtraction
-        }
-
-        // Transposed store: low coefficients land at output rows
-        // col0/2 + j, high at width/2 + col0/2 + j.
-        if (col0 >= width)
-            continue;
-        const simt::LaneMask rows = sat::cols_in_range(row0, height);
-        for (int j = 0; j < kWarpSize / 2; ++j) {
-            const std::int64_t lo_row = col0 / 2 + j;
-            const std::int64_t hi_row = width / 2 + col0 / 2 + j;
-            out.store(lane + (lo_row * height + row0),
-                      low[static_cast<std::size_t>(j)], rows);
-            out.store(lane + (hi_row * height + row0),
-                      high[static_cast<std::size_t>(j)], rows);
-        }
-    }
-}
-
+/// The transposing Haar row pass: in (height x width) -> out (width x
+/// height) holding [low | high] per row, transposed.  Block (0, y) owns
+/// rows [y*32, y*32+32); warp i holds the tile at column c*chunk_w + 32*i
+/// of chunk c.
 template <typename T>
 simt::LaunchStats launch_haar_rows_pass(simt::Engine& eng,
                                         const simt::DeviceBuffer<T>& in,
@@ -90,9 +49,53 @@ simt::LaunchStats launch_haar_rows_pass(simt::Engine& eng,
     const simt::KernelInfo info{"haar_rows_brlt",
                                 sat::regs_per_thread<T>(),
                                 sat::brlt_smem_bytes<T>(padded_smem)};
-    return eng.launch(info, cfg, [&](simt::WarpCtx& w) {
-        return haar_rows_warp<T>(w, in, height, width, out, padded_smem);
-    });
+    struct State {
+        RegTile<T> data;
+    };
+    const std::int64_t chunk_w = std::int64_t{wc} * kWarpSize;
+    const auto lane = LaneVec<std::int64_t>::lane_index();
+    const auto corner = [&](const auto& w, std::int64_t c) {
+        return std::pair{w.block_idx().y * kWarpSize,
+                         c * chunk_w + std::int64_t{w.warp_id()} * kWarpSize};
+    };
+    return simt::launch_phases(
+        eng, info, cfg, false,
+        simt::phase_list<State>(
+            [&](simt::Dim3) { return ceil_div(width, chunk_w); },
+            [&](auto& w, State& st, std::int64_t c) {
+                const auto [row0, col0] = corner(w, c);
+                sat::load_tile_rows(in, height, width, row0, col0, st.data);
+            },
+            sat::brlt_transpose_rounds<T>(wc, padded_smem),
+            [&](auto& w, State& st, std::int64_t c) {
+                const auto [row0, col0] = corner(w, c);
+                // Intra-thread butterflies: register pairs (2j, 2j+1) ->
+                // (sum, diff).
+                std::array<LaneVec<T>, kWarpSize / 2> low, high;
+                for (int j = 0; j < kWarpSize / 2; ++j) {
+                    const auto& a = st.data[static_cast<std::size_t>(2 * j)];
+                    const auto& b =
+                        st.data[static_cast<std::size_t>(2 * j + 1)];
+                    low[static_cast<std::size_t>(j)] = simt::vadd(a, b);
+                    high[static_cast<std::size_t>(j)] = LaneVec<T>::zip(
+                        a, b, [](T x, T y) { return static_cast<T>(x - y); });
+                    simt::detail::count_adds(kWarpSize); // the subtraction
+                }
+
+                // Transposed store: low coefficients land at output rows
+                // col0/2 + j, high at width/2 + col0/2 + j.
+                if (col0 >= width)
+                    return;
+                const simt::LaneMask rows = sat::cols_in_range(row0, height);
+                for (int j = 0; j < kWarpSize / 2; ++j) {
+                    const std::int64_t lo_row = col0 / 2 + j;
+                    const std::int64_t hi_row = width / 2 + col0 / 2 + j;
+                    out.store(lane + (lo_row * height + row0),
+                              low[static_cast<std::size_t>(j)], rows);
+                    out.store(lane + (hi_row * height + row0),
+                              high[static_cast<std::size_t>(j)], rows);
+                }
+            }));
 }
 
 template <typename T>

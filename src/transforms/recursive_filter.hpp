@@ -18,6 +18,7 @@
 #include "sat/tile_io.hpp"
 #include "scan/affine_scan.hpp"
 #include "simt/engine.hpp"
+#include "simt/native_backend.hpp"
 
 #include <vector>
 
@@ -30,16 +31,14 @@ using sat::cols_in_range;
 using simt::kWarpSize;
 using simt::LaneVec;
 
-template <typename T>
-simt::KernelTask iir_rows_warp(simt::WarpCtx& w,
-                               const simt::DeviceBuffer<T>& in,
-                               std::int64_t height, std::int64_t width,
-                               T feedback, simt::DeviceBuffer<T>& out)
+template <typename T, typename W>
+void iir_rows_warp(W& w, const simt::DeviceBuffer<T>& in, std::int64_t height,
+                   std::int64_t width, T feedback, simt::DeviceBuffer<T>& out)
 {
     const std::int64_t row =
         w.block_idx().y * w.warps_per_block() + w.warp_id();
     if (row >= height)
-        co_return;
+        return;
     const auto lane = LaneVec<std::int64_t>::lane_index();
     LaneVec<T> carry{}; // y(-1) = 0
 
@@ -56,17 +55,15 @@ simt::KernelTask iir_rows_warp(simt::WarpCtx& w,
     }
 }
 
-template <typename T>
-simt::KernelTask iir_cols_warp(simt::WarpCtx& w,
-                               const simt::DeviceBuffer<T>& in,
-                               std::int64_t height, std::int64_t width,
-                               T feedback, simt::DeviceBuffer<T>& out)
+template <typename T, typename W>
+void iir_cols_warp(W& w, const simt::DeviceBuffer<T>& in, std::int64_t height,
+                   std::int64_t width, T feedback, simt::DeviceBuffer<T>& out)
 {
     const std::int64_t col0 =
         (w.block_idx().x * w.warps_per_block() + w.warp_id()) * kWarpSize;
     const auto m = cols_in_range(col0, width);
     if (m == 0)
-        co_return;
+        return;
     LaneVec<T> carry{};
     sat::RegTile<T> tile;
 
@@ -105,19 +102,18 @@ template <typename T>
     FilterResult<T> res;
 
     const std::int64_t row_wc = 8; // 256-thread blocks
-    res.launches.push_back(eng.launch(
-        {"iir_rows", 24, 0},
-        {{1, ceil_div(h, row_wc), 1},
-         {row_wc * simt::kWarpSize, 1, 1}},
-        [&](simt::WarpCtx& wc) {
-            return detail::iir_rows_warp<T>(wc, in, h, w, feedback, mid);
+    res.launches.push_back(simt::launch_warps(
+        eng, {"iir_rows", 24, 0},
+        {{1, ceil_div(h, row_wc), 1}, {row_wc * simt::kWarpSize, 1, 1}},
+        false, [&](auto& wc) {
+            detail::iir_rows_warp<T>(wc, in, h, w, feedback, mid);
         }));
-    res.launches.push_back(eng.launch(
-        {"iir_cols", sat::regs_per_thread<T>(), 0},
+    res.launches.push_back(simt::launch_warps(
+        eng, {"iir_cols", sat::regs_per_thread<T>(), 0},
         {{ceil_div(w, row_wc * simt::kWarpSize), 1, 1},
          {row_wc * simt::kWarpSize, 1, 1}},
-        [&](simt::WarpCtx& wc) {
-            return detail::iir_cols_warp<T>(wc, mid, h, w, feedback, out);
+        false, [&](auto& wc) {
+            detail::iir_cols_warp<T>(wc, mid, h, w, feedback, out);
         }));
     res.filtered = std::move(out).release_matrix(h, w);
     return res;

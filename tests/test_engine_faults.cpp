@@ -1,8 +1,8 @@
 // Failure-injection tests: the simulator must catch (loudly) the classes of
 // bugs that silently corrupt results or hang on real hardware -- out-of-
 // bounds accesses, capacity violations, illegal launch shapes, divergent
-// shared-memory declarations -- and must propagate kernel exceptions and
-// nested-coroutine barriers correctly.
+// shared-memory declarations -- and must propagate kernel exceptions,
+// including ones thrown after a barrier.
 #include "sat/block_carry.hpp"
 #include "sat/brlt.hpp"
 #include "sat/brlt_scanrow.hpp"
@@ -124,67 +124,19 @@ TEST(EngineFaults, NonWarpMultipleBlockRejected)
                  "");
 }
 
-TEST(EngineFaults, NestedSubTaskExceptionPropagates)
+TEST(EngineFaults, ExceptionAfterBarrierPropagates)
 {
+    // The scheduler resumes each warp's task past its barrier; a throw
+    // there still reaches the launcher.
     simt::Engine eng;
-    auto failing_subtask = [](simt::WarpCtx& w) -> simt::SubTask<> {
-        co_await w.sync();
-        throw std::runtime_error("inner failure");
-    };
-    EXPECT_THROW(
-        eng.launch({"nested_throw", 8, 0}, one_warp(),
-                   [&](simt::WarpCtx& w) -> simt::KernelTask {
-                       co_await failing_subtask(w);
-                   }),
-        std::runtime_error);
-}
-
-TEST(EngineFaults, NestedSubTaskValueAndBarriers)
-{
-    // A SubTask<int> that syncs twice and returns a value: exercises the
-    // resume-point plumbing through two barrier suspensions in a nested
-    // frame plus symmetric transfer back to the caller.
-    simt::Engine eng;
-    simt::DeviceBuffer<int> out(8, -1);
-    auto worker = [](simt::WarpCtx& w) -> simt::SubTask<int> {
-        co_await w.sync();
-        co_await w.sync();
-        co_return w.warp_id() * 10;
-    };
-    auto stats = eng.launch(
-        {"nested_value", 8, 0}, {{1, 1, 1}, {8 * kWarpSize, 1, 1}},
-        [&](simt::WarpCtx& w) -> simt::KernelTask {
-            const int v = co_await worker(w);
-            out.store(LaneVec<std::int64_t>::broadcast(w.warp_id()),
-                      LaneVec<int>::broadcast(v), 0x1u);
-        });
-    for (int i = 0; i < 8; ++i)
-        EXPECT_EQ(out.host()[static_cast<std::size_t>(i)], i * 10);
-    EXPECT_EQ(stats.counters.barriers, 2u);
-}
-
-TEST(EngineFaults, DoublyNestedSubTasks)
-{
-    // SubTask awaiting a SubTask, with barriers at the deepest level.
-    simt::Engine eng;
-    simt::DeviceBuffer<int> out(1, 0);
-    auto inner = [](simt::WarpCtx& w) -> simt::SubTask<int> {
-        co_await w.sync();
-        co_return 21;
-    };
-    auto middle = [&inner](simt::WarpCtx& w) -> simt::SubTask<int> {
-        const int v = co_await inner(w);
-        co_await w.sync();
-        co_return v * 2;
-    };
-    eng.launch({"deep_nest", 8, 0}, {{1, 1, 1}, {2 * kWarpSize, 1, 1}},
-               [&](simt::WarpCtx& w) -> simt::KernelTask {
-                   const int v = co_await middle(w);
-                   if (w.warp_id() == 0)
-                       out.store(LaneVec<std::int64_t>::broadcast(0),
-                                 LaneVec<int>::broadcast(v), 0x1u);
-               });
-    EXPECT_EQ(out.host()[0], 42);
+    EXPECT_THROW(eng.launch({"throw_after_sync", 8, 0},
+                            {{1, 1, 1}, {2 * kWarpSize, 1, 1}},
+                            [&](simt::WarpCtx& w) -> simt::KernelTask {
+                                co_await w.sync();
+                                if (w.warp_id() == 1)
+                                    throw std::runtime_error("after sync");
+                            }),
+                 std::runtime_error);
 }
 
 TEST(EngineFaults, CountersIsolatedAcrossLaunches)

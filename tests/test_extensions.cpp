@@ -11,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <random>
+#include <vector>
 
 namespace sat = satgpu::sat;
 namespace scan = satgpu::scan;
@@ -115,28 +117,48 @@ TEST(VectorAccess, StoreVecRoundTrips)
 
 // -------------------------------------------------------------- block scan --
 
+// block_scan_steps at 1, 3 and 8 warps on both backends, against a serial
+// prefix of random values: every prefix and the block total in every lane.
 TEST(BlockScan, ScansAcrossWarpsOfOneBlock)
 {
-    constexpr std::int64_t kThreads = 256;
     simt::Engine eng;
-    simt::DeviceBuffer<int> out(kThreads), totals(kThreads);
-    eng.launch({"blockscan", 24, 64}, {{1, 1, 1}, {kThreads, 1, 1}},
-               [&](simt::WarpCtx& w) -> simt::KernelTask {
-                   const auto linear =
-                       w.lane() + std::int64_t{w.warp_id()} * simt::kWarpSize;
-                   auto v = linear.cast<int>() + 1; // 1..256
-                   simt::LaneVec<int> total;
-                   co_await scan::block_inclusive_scan(w, v, total);
-                   out.store(linear, v);
-                   totals.store(linear, total);
-               });
-    for (int t = 0; t < kThreads; ++t) {
-        EXPECT_EQ(out.host()[static_cast<std::size_t>(t)],
-                  (t + 1) * (t + 2) / 2)
-            << t;
-        EXPECT_EQ(totals.host()[static_cast<std::size_t>(t)],
-                  256 * 257 / 2);
-    }
+    for (const int warps : {1, 3, 8})
+        for (const bool native : {false, true}) {
+            const std::int64_t n = std::int64_t{warps} * simt::kWarpSize;
+            std::mt19937 rng(static_cast<unsigned>(warps));
+            std::vector<int> vals(static_cast<std::size_t>(n));
+            for (auto& v : vals)
+                v = static_cast<int>(rng() % 1000) - 500;
+            std::vector<int> want(vals.size());
+            std::partial_sum(vals.begin(), vals.end(), want.begin());
+
+            simt::DeviceBuffer<int> in(n), out(n), totals(n);
+            std::copy(vals.begin(), vals.end(), in.host().begin());
+            using State = scan::BlockScanState<int>;
+            (void)simt::launch_phases(
+                eng, {"blockscan", 24, 4 * warps}, {{1, 1, 1}, {n, 1, 1}},
+                native,
+                simt::phase_list<State>(
+                    [](simt::Dim3) { return std::int64_t{1}; },
+                    [&](auto& w, State& st, std::int64_t) {
+                        st.v = in.load_row(
+                            std::int64_t{w.warp_id()} * simt::kWarpSize);
+                    },
+                    scan::block_scan_steps<int>(),
+                    [&](auto& w, State& st, std::int64_t) {
+                        const std::int64_t base =
+                            std::int64_t{w.warp_id()} * simt::kWarpSize;
+                        out.store_row(base, st.v);
+                        totals.store_row(base, st.total);
+                    }));
+            for (std::int64_t t = 0; t < n; ++t) {
+                const auto i = static_cast<std::size_t>(t);
+                EXPECT_EQ(out.host()[i], want[i])
+                    << warps << " warps, native " << native << ", t " << t;
+                EXPECT_EQ(totals.host()[i], want.back())
+                    << warps << " warps, native " << native << ", t " << t;
+            }
+        }
 }
 
 // ------------------------------------------------------------- device scan --

@@ -188,21 +188,9 @@ TEST(HazardBroken, ReportBytesIdenticalForEveryThreadCount)
                                         std::uint32_t>(8)};
         // 8 blocks x 8 warps; each block gathers into its own output rows.
         const simt::LaunchConfig cfg{{8, 1, 1}, {8 * kWarpSize, 1, 1}};
-        return eng.launch(info, cfg, [&](simt::WarpCtx& w) -> simt::KernelTask {
-            return [](simt::WarpCtx& wc, simt::DeviceBuffer<std::uint32_t>& e,
-                      simt::DeviceBuffer<std::uint32_t>& t)
-                       -> simt::KernelTask {
-                const auto partial = LaneVec<std::uint32_t>::broadcast(
-                    static_cast<std::uint32_t>(wc.warp_id() + 1));
-                LaneVec<std::uint32_t> exclusive, block_total;
-                co_await sat::broken::block_exclusive_carry_unsynced(
-                    wc, partial, exclusive, block_total);
-                const auto idx =
-                    LaneVec<std::int64_t>::lane_index() +
-                    (wc.block_idx().x * 8 + wc.warp_id()) * kWarpSize;
-                e.store(idx, exclusive);
-                t.store(idx, block_total);
-            }(w, excl, total);
+        return eng.launch(info, cfg, [&](simt::WarpCtx& w) {
+            return sat::broken::broken_carry_warp<std::uint32_t>(w, excl,
+                                                                 total);
         });
     };
 

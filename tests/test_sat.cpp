@@ -323,18 +323,38 @@ TEST(SatGolden, U32ToU64AgreesWithRecordedChecksum)
               kGolden);
 }
 
-// ------------------------------------------------- component subtasks ------
+// ---------------------------------------------- block-level fragments ------
+//
+// BRLT (Alg. 5) and the Fig. 3c carry are phase-list fragments.  Each test
+// runs its fragment in a one-block kernel on both backends: values on
+// both, counters on the simulator (a native launch counts no events).
 
 namespace {
 
-simt::KernelTask brlt_only_kernel(simt::WarpCtx& w,
-                                  const simt::DeviceBuffer<int>& in,
-                                  simt::DeviceBuffer<int>& out)
+constexpr bool kNative[] = {false, true};
+
+struct TileState {
+    sat::RegTile<int> data;
+};
+
+/// One warp, one 32x32 tile: load it, BRLT-transpose it, store it.
+simt::LaunchStats brlt_only(simt::Engine& eng,
+                            const simt::DeviceBuffer<int>& in,
+                            simt::DeviceBuffer<int>& out, bool padded,
+                            bool native)
 {
-    sat::RegTile<int> tile;
-    sat::load_tile_rows(in, 32, 32, 0, 0, tile);
-    co_await sat::brlt_transpose(w, tile);
-    sat::store_tile_rows(out, 32, 32, 0, 0, tile);
+    return simt::launch_phases(
+        eng, {"brlt_only", 56, sat::brlt_smem_bytes<int>(padded)},
+        {{1, 1, 1}, {simt::kWarpSize, 1, 1}}, native,
+        simt::phase_list<TileState>(
+            [](simt::Dim3) { return std::int64_t{1}; },
+            [&](auto&, TileState& st, std::int64_t) {
+                sat::load_tile_rows(in, 32, 32, 0, 0, st.data);
+            },
+            sat::brlt_transpose_rounds<int>(1, padded),
+            [&](auto&, TileState& st, std::int64_t) {
+                sat::store_tile_rows(out, 32, 32, 0, 0, st.data);
+            }));
 }
 
 } // namespace
@@ -344,12 +364,12 @@ TEST(Brlt, TransposesASingleTile)
     Matrix<int> m(32, 32);
     satgpu::fill_pattern(m);
     auto in = simt::DeviceBuffer<int>::from_matrix(m);
-    simt::DeviceBuffer<int> out(32 * 32);
     simt::Engine eng;
-    eng.launch({"brlt_only", 56, sat::brlt_smem_bytes<int>()},
-               {{1, 1, 1}, {simt::kWarpSize, 1, 1}},
-               [&](simt::WarpCtx& w) { return brlt_only_kernel(w, in, out); });
-    EXPECT_EQ(out.to_matrix(32, 32), satgpu::transpose(m));
+    for (const bool native : kNative) {
+        simt::DeviceBuffer<int> out(32 * 32);
+        (void)brlt_only(eng, in, out, /*padded=*/true, native);
+        EXPECT_EQ(out.to_matrix(32, 32), satgpu::transpose(m)) << native;
+    }
 }
 
 TEST(Brlt, PaddedStagingHasNoBankConflicts)
@@ -357,19 +377,20 @@ TEST(Brlt, PaddedStagingHasNoBankConflicts)
     Matrix<int> m(32, 32);
     satgpu::fill_pattern(m);
     auto in = simt::DeviceBuffer<int>::from_matrix(m);
-    simt::DeviceBuffer<int> out(32 * 32);
     simt::Engine eng;
-    auto stats =
-        eng.launch({"brlt_only", 56, sat::brlt_smem_bytes<int>()},
-                   {{1, 1, 1}, {simt::kWarpSize, 1, 1}}, [&](simt::WarpCtx& w) {
-                       return brlt_only_kernel(w, in, out);
-                   });
-    // 32 row stores + 32 column loads, every one a single transaction.
-    EXPECT_EQ(stats.counters.smem_st_req, 32u);
-    EXPECT_EQ(stats.counters.smem_ld_req, 32u);
-    EXPECT_EQ(stats.counters.smem_st_trans, 32u);
-    EXPECT_EQ(stats.counters.smem_ld_trans, 32u);
-    EXPECT_EQ(stats.counters.smem_conflict_factor(), 1.0);
+    for (const bool native : kNative) {
+        simt::DeviceBuffer<int> out(32 * 32);
+        const auto stats = brlt_only(eng, in, out, /*padded=*/true, native);
+        EXPECT_EQ(out.to_matrix(32, 32), satgpu::transpose(m)) << native;
+        if (native)
+            continue;
+        // 32 row stores + 32 column loads, every one a single transaction.
+        EXPECT_EQ(stats.counters.smem_st_req, 32u);
+        EXPECT_EQ(stats.counters.smem_ld_req, 32u);
+        EXPECT_EQ(stats.counters.smem_st_trans, 32u);
+        EXPECT_EQ(stats.counters.smem_ld_trans, 32u);
+        EXPECT_EQ(stats.counters.smem_conflict_factor(), 1.0);
+    }
 }
 
 TEST(Brlt, UnpaddedStagingSerializesColumnLoads)
@@ -377,49 +398,49 @@ TEST(Brlt, UnpaddedStagingSerializesColumnLoads)
     Matrix<int> m(32, 32);
     satgpu::fill_pattern(m);
     auto in = simt::DeviceBuffer<int>::from_matrix(m);
-    simt::DeviceBuffer<int> out(32 * 32);
     simt::Engine eng;
-    auto stats = eng.launch(
-        {"brlt_unpadded", 56, sat::brlt_smem_bytes<int>(false)},
-        {{1, 1, 1}, {simt::kWarpSize, 1, 1}},
-        [&](simt::WarpCtx& w) -> simt::KernelTask {
-            sat::RegTile<int> tile;
-            sat::load_tile_rows(in, 32, 32, 0, 0, tile);
-            co_await sat::brlt_transpose(w, tile, /*padded=*/false);
-            sat::store_tile_rows(out, 32, 32, 0, 0, tile);
-        });
-    EXPECT_EQ(out.to_matrix(32, 32), satgpu::transpose(m)); // still correct
-    EXPECT_EQ(stats.counters.smem_st_trans, 32u);           // rows: clean
-    EXPECT_EQ(stats.counters.smem_ld_trans, 32u * 32u);     // columns: 32-way
+    for (const bool native : kNative) {
+        simt::DeviceBuffer<int> out(32 * 32);
+        const auto stats = brlt_only(eng, in, out, /*padded=*/false, native);
+        // Still correct.
+        EXPECT_EQ(out.to_matrix(32, 32), satgpu::transpose(m)) << native;
+        if (native)
+            continue;
+        EXPECT_EQ(stats.counters.smem_st_trans, 32u);       // rows: clean
+        EXPECT_EQ(stats.counters.smem_ld_trans, 32u * 32u); // columns: 32-way
+    }
 }
-
-namespace {
-
-simt::KernelTask carry_kernel(simt::WarpCtx& w, simt::DeviceBuffer<int>& excl,
-                              simt::DeviceBuffer<int>& total)
-{
-    // Warp w contributes partial[l] = w+1 in every lane.
-    simt::LaneVec<int> e, t;
-    co_await sat::block_exclusive_carry(
-        w, simt::LaneVec<int>::broadcast(w.warp_id() + 1), e, t);
-    const auto out_idx = simt::LaneVec<std::int64_t>::broadcast(w.warp_id());
-    excl.store(out_idx, e, 0x1u);
-    total.store(out_idx, t, 0x1u);
-}
-
-} // namespace
 
 TEST(BlockCarry, ComputesExclusivePrefixAndTotal)
 {
     constexpr int wc = 8;
-    simt::DeviceBuffer<int> excl(wc, -1), total(wc, -1);
     simt::Engine eng;
-    eng.launch({"carry", 16, sat::block_carry_smem_bytes<int>(wc)},
-               {{1, 1, 1}, {wc * simt::kWarpSize, 1, 1}},
-               [&](simt::WarpCtx& w) { return carry_kernel(w, excl, total); });
-    // partials are 1..8; exclusive prefix of warp w is w*(w+1)/2.
-    for (int w = 0; w < wc; ++w) {
-        EXPECT_EQ(excl.host()[static_cast<std::size_t>(w)], w * (w + 1) / 2);
-        EXPECT_EQ(total.host()[static_cast<std::size_t>(w)], 36);
+    for (const bool native : kNative) {
+        simt::DeviceBuffer<int> excl(wc, -1), total(wc, -1);
+        (void)simt::launch_phases(
+            eng, {"carry", 16, sat::block_carry_smem_bytes<int>(wc)},
+            {{1, 1, 1}, {wc * simt::kWarpSize, 1, 1}}, native,
+            simt::phase_list<sat::CarryState<int>>(
+                [](simt::Dim3) { return std::int64_t{1}; },
+                // Warp w contributes partial[l] = w+1 in every lane.
+                [](auto& w, sat::CarryState<int>& st, std::int64_t) {
+                    st.partial =
+                        simt::LaneVec<int>::broadcast(w.warp_id() + 1);
+                },
+                sat::block_carry_steps<int>(),
+                [&](auto& w, sat::CarryState<int>& st, std::int64_t) {
+                    const auto out_idx =
+                        simt::LaneVec<std::int64_t>::broadcast(w.warp_id());
+                    excl.store(out_idx, st.exclusive, 0x1u);
+                    total.store(out_idx, st.total, 0x1u);
+                }));
+        // partials are 1..8; exclusive prefix of warp w is w*(w+1)/2.
+        for (int w = 0; w < wc; ++w) {
+            EXPECT_EQ(excl.host()[static_cast<std::size_t>(w)],
+                      w * (w + 1) / 2)
+                << native;
+            EXPECT_EQ(total.host()[static_cast<std::size_t>(w)], 36)
+                << native;
+        }
     }
 }

@@ -160,6 +160,53 @@ TEST(Tiled, BitIdenticalAcrossSchedulerThreads)
     EXPECT_EQ(run(7), one);
 }
 
+// ------------------------------------------------------ native backend -----
+
+// A native tiled run is bit-exact with the simulator on ragged tiles at
+// every engine thread count, and its carry pass runs natively too: the
+// tile_carry_combine launches count no events, only their geometry.
+TEST(Tiled, NativeCarryMatchesSimulatorAndCountsNoEvents)
+{
+    constexpr std::int64_t h = 300, w = 517;
+    Matrix<std::uint8_t> img(h, w);
+    satgpu::fill_random(img, /*seed=*/7);
+    // 4 x 4 tiles, the last row and column ragged (300 = 3*96 + 12,
+    // 517 = 3*160 + 37).
+    const sat::TileGeometry geo{96, 160};
+    for (const sat::Algorithm algo :
+         {sat::Algorithm::kBrltScanRow, sat::Algorithm::kScanRowBrlt,
+          sat::Algorithm::kScanRowColumn}) {
+        sat::Options opt{algo};
+        simt::Engine sim_eng;
+        const auto sim =
+            sat::compute_sat_tiled<std::uint32_t>(sim_eng, img, geo, opt);
+        ASSERT_EQ(sim.table, sat::sat_serial<std::uint32_t>(img));
+
+        opt.backend = sat::Backend::kNative;
+        for (const int threads : {1, 2, 7}) {
+            simt::Engine eng({.record_history = false,
+                              .num_threads = threads});
+            const auto nat =
+                sat::compute_sat_tiled<std::uint32_t>(eng, img, geo, opt);
+            EXPECT_EQ(nat.table, sim.table)
+                << sat::to_string(algo) << ", " << threads << " threads";
+            int carries = 0;
+            for (const auto& l : nat.launches) {
+                if (l.info.name != "tile_carry_combine")
+                    continue;
+                ++carries;
+                simt::PerfCounters geometry_only{};
+                geometry_only.blocks = l.counters.blocks;
+                geometry_only.warps = l.counters.warps;
+                EXPECT_EQ(l.counters, geometry_only)
+                    << sat::to_string(algo) << ", " << threads << " threads";
+                EXPECT_GT(l.counters.blocks, 0u);
+            }
+            EXPECT_GT(carries, 0);
+        }
+    }
+}
+
 // ---------------------------------------------------- golden checksums -----
 
 TEST(Tiled, GoldenChecksumsLargeTables)
