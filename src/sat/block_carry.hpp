@@ -43,7 +43,9 @@ void block_carry_deposit(W& w, const LaneVec<T>& partial)
 /// Step #2: warp 0 scans the staging matrix across the warp axis (each
 /// lane owns a column, rows are folded top to bottom in ascending order --
 /// the exact float summation order both lowerings must share).  A no-op
-/// for every other warp.
+/// for every other warp.  Only the live warps' rows are folded (all of
+/// them on the simulator): a dead warp deposited nothing, and row i's
+/// prefix depends on rows [0, i] alone.
 template <typename T, typename W>
 void block_carry_scan(W& w)
 {
@@ -53,16 +55,16 @@ void block_carry_scan(W& w)
     auto sm = w.template smem_alloc<T>(
         "carry.partials", static_cast<std::int64_t>(wc) * kWarpSize);
     LaneVec<T> acc = sm.load_row(0);
-    for (int i = 1; i < wc; ++i) {
+    for (int i = 1; i < w.live_warps(); ++i) {
         const auto v = sm.load_row(std::int64_t{i} * kWarpSize);
         acc = simt::vadd(acc, v);
         sm.store_row(std::int64_t{i} * kWarpSize, acc);
     }
 }
 
-/// Step #3: gather this warp's exclusive prefix and the block total
-/// (reads only; the caller's closing barrier protects the staging matrix
-/// from the next round's deposits).
+/// Step #3: gather this warp's exclusive prefix and the block total, the
+/// last live warp's prefix (reads only; the caller's closing barrier
+/// protects the staging matrix from the next round's deposits).
 template <typename W, typename T>
 void block_carry_gather(W& w, LaneVec<T>& exclusive, LaneVec<T>& block_total)
 {
@@ -72,7 +74,8 @@ void block_carry_gather(W& w, LaneVec<T>& exclusive, LaneVec<T>& block_total)
     exclusive = w.warp_id() == 0
                     ? LaneVec<T>{}
                     : sm.load_row(std::int64_t{w.warp_id() - 1} * kWarpSize);
-    block_total = sm.load_row(std::int64_t{wc - 1} * kWarpSize);
+    block_total =
+        sm.load_row(std::int64_t{w.live_warps() - 1} * kWarpSize);
 }
 
 /// Per-warp state of a phase-list kernel that carries across its block's
@@ -90,7 +93,8 @@ struct CarryState {
 /// deposit `partial` (step #1), barrier, scan (step #2), barrier, gather
 /// (step #3), barrier.  Afterwards `exclusive[l]` is the sum of
 /// `partial[l]` over all warps with smaller warpId and `total[l]` the sum
-/// over every warp in the block.
+/// over every live warp in the block (every warp on the simulator, where
+/// a dead warp's partial is zero).
 template <typename T>
 [[nodiscard]] auto block_carry_steps()
 {

@@ -100,6 +100,11 @@ simt::LaunchStats launch_scanrow_brlt_wave(
         eng, info, cfg, native,
         simt::phase_list<CarryState<Tout>>(
             [&](simt::Dim3) { return ceil_div(width, chunk_w); },
+            // Warps whose tile starts at or past `width` (the rest of the
+            // last chunk) have no columns.
+            simt::LiveWarps{[&](simt::Dim3, std::int64_t c) {
+                return ceil_div(width - c * chunk_w, kWarpSize);
+            }},
             [&](auto& w, CarryState<Tout>& st, std::int64_t c) {
                 const auto [z, row0, col0] = tile(w, c);
                 {

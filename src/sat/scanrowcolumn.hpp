@@ -141,6 +141,11 @@ simt::LaunchStats launch_scancolumn_wave(
         eng, info, cfg, native,
         simt::phase_list<CarryState<Tout>>(
             [&](simt::Dim3) { return ceil_div(height, strip_h); },
+            // Warps whose band starts at or past `height` (the rest of
+            // the last strip) have no rows.
+            simt::LiveWarps{[&](simt::Dim3, std::int64_t s) {
+                return ceil_div(height - s * strip_h, kWarpSize);
+            }},
             [&](auto& w, CarryState<Tout>& st, std::int64_t s) {
                 const auto [z, row0, col0] = tile(w, s);
                 {

@@ -36,8 +36,10 @@
 #include "simt/lane_vec.hpp"
 #include "simt/shared_memory.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string_view>
@@ -54,8 +56,9 @@ namespace satgpu::simt {
 class NativeWarpCtx {
 public:
     NativeWarpCtx(Dim3 block_idx, LaunchConfig cfg, int warp_id,
-                  SharedMemory* smem)
-        : block_idx_(block_idx), cfg_(cfg), warp_id_(warp_id), smem_(smem)
+                  SharedMemory* smem, const int* live_warps)
+        : block_idx_(block_idx), cfg_(cfg), warp_id_(warp_id), smem_(smem),
+          live_warps_(live_warps)
     {
     }
 
@@ -68,6 +71,9 @@ public:
     {
         return static_cast<int>(cfg_.warps_per_block());
     }
+    /// The warps [0, live_warps()) that run the current trip of a phase
+    /// list (PhaseList::live); every warp outside one.
+    [[nodiscard]] int live_warps() const noexcept { return *live_warps_; }
 
     /// laneId as a vector {0..31}.
     [[nodiscard]] static LaneVec<std::int64_t> lane()
@@ -88,6 +94,7 @@ private:
     LaunchConfig cfg_;
     int warp_id_;
     SharedMemory* smem_;
+    const int* live_warps_; ///< the owning NativeBlockCtx's count
 };
 
 /// An executor slot's native block context: owns the shared-memory arena
@@ -108,14 +115,15 @@ public:
 
     /// Begin block `block_idx` of `cfg`: zero the shared memory the
     /// previous block used (SharedMemory::reset) and rebuild the warp
-    /// contexts, keeping every buffer's storage.
+    /// contexts, keeping every buffer's storage.  Every warp is live.
     void reset(Dim3 block_idx, const LaunchConfig& cfg)
     {
         smem_.reset();
         const int wc = static_cast<int>(cfg.warps_per_block());
+        live_warps_ = wc;
         warps_.clear();
         for (int i = 0; i < wc; ++i)
-            warps_.emplace_back(block_idx, cfg, i, &smem_);
+            warps_.emplace_back(block_idx, cfg, i, &smem_, &live_warps_);
     }
 
     [[nodiscard]] Dim3 block_idx() const noexcept
@@ -130,6 +138,12 @@ public:
     {
         return warps_[static_cast<std::size_t>(i)];
     }
+    /// What NativeWarpCtx::live_warps() reads; run_phases sets it per trip.
+    void set_live_warps(int n)
+    {
+        SATGPU_EXPECTS(n >= 0 && n <= warps_per_block());
+        live_warps_ = n;
+    }
     [[nodiscard]] std::int64_t smem_bytes_used() const noexcept
     {
         return smem_.bytes_used();
@@ -142,9 +156,10 @@ public:
 
     /// `n` values of T -- a block program's hoisted register or cache
     /// state -- in storage reused across blocks and launches (it only ever
-    /// grows, so a steady-state block allocates nothing).  The contents
-    /// are unspecified (whatever an earlier block left): callers write
-    /// every element before reading it.  One live span per block; a second
+    /// grows, so a steady-state block allocates nothing).  Each value is
+    /// default-initialized: T's default member initializers run, and
+    /// members without one hold whatever an earlier block left, so callers
+    /// write those before reading them.  One live span per block; a second
     /// call reuses the same storage.
     template <typename T>
     [[nodiscard]] std::span<T> scratch(std::size_t n)
@@ -159,20 +174,14 @@ public:
         if (scratch_.size() < words)
             scratch_.resize(words);
         T* const p = reinterpret_cast<T*>(scratch_.data());
-        std::uninitialized_default_construct_n(p, n); // no-op: starts lifetimes
+        std::uninitialized_default_construct_n(p, n);
         return {p, n};
-    }
-
-    /// One T per warp of the block (e.g. a RegTile each), as scratch().
-    template <typename T>
-    [[nodiscard]] std::span<T> warp_scratch()
-    {
-        return scratch<T>(warps_.size());
     }
 
 private:
     SharedMemory smem_;
     int slot_;
+    int live_warps_ = 0;
     std::vector<NativeWarpCtx> warps_;
     std::vector<std::max_align_t> scratch_;
 };
@@ -224,11 +233,18 @@ using NativeBlockProgram = std::function<void(NativeBlockCtx&)>;
 // construction.  That is the structure the hazard checker's certificate
 // generalizes from its probe shape (docs/backends.md).
 //
+// A list may also name its LIVE warps, `simt::LiveWarps{f}` right after
+// the trip count: in trip `it` of block b only warps [0, f(b, it)) have
+// data (the rest of a ragged last strip or chunk).  Only the last trip may
+// have dead warps, and they must leave no trace a live warp or the output
+// reads (docs/backends.md, "Live work at small shapes").
+//
 // launch_phases lowers the list to either backend.  On the simulator each
 // warp is one coroutine that runs the steps in order and co_awaits
-// `w.sync()` at each barrier.  Natively run_phases runs them phase-major:
-// every step is a loop over the block's warps, with the states in the
-// slot's warp_scratch, so a barrier is a loop boundary.  The steps are
+// `w.sync()` at each barrier; every warp runs every trip, whatever the
+// list says is live.  Natively run_phases runs them phase-major: every
+// step is a loop over the trip's live warps, with the states in the
+// slot's scratch, so a barrier is a loop boundary.  The steps are
 // template parameters: nothing is called through a std::function or a
 // virtual per phase or per warp.
 
@@ -245,14 +261,36 @@ struct Rounds {
 template <typename F>
 Rounds(int, F) -> Rounds<F>;
 
+/// A phase list's live-warp count per (block, trip) (see above):
+/// `f(block_idx, it)`, clamped to the block's warps.
+template <typename F>
+struct LiveWarps {
+    F f;
+};
+template <typename F>
+LiveWarps(F) -> LiveWarps<F>;
+
+namespace detail {
+/// The count of a list that names none: every warp is live.
+struct AllWarpsLive {
+    [[nodiscard]] std::int64_t operator()(Dim3, std::int64_t) const noexcept
+    {
+        return std::numeric_limits<int>::max();
+    }
+};
+} // namespace detail
+
 /// A phase-list kernel: `trips(block_idx)` trips of `steps` over per-warp
-/// `State`.  State is default-initialized per warp at block start (give
-/// its members initializers), and must be a plain register value
+/// `State`, with `live(block_idx, it)` warps live in trip `it`.  State is
+/// default-initialized per warp at block start (give its members
+/// initializers), and must be a plain register value
 /// (NativeBlockCtx::scratch).  Build with phase_list.
-template <typename State, typename Trips, typename Steps>
+template <typename State, typename Trips, typename Steps,
+          typename Live = detail::AllWarpsLive>
 struct PhaseList {
     Trips trips;
     Steps steps; ///< flat std::tuple of phases, Barrier and Rounds
+    Live live;
 };
 
 namespace detail {
@@ -312,8 +350,9 @@ auto visit_step(const Steps& steps, std::size_t k, F&& f)
 /// The simulator lowering of a phase list: one warp's coroutine.  It
 /// holds `pl` by reference; launch_phases keeps the list alive until the
 /// launch, and with it every coroutine, has finished.
-template <typename State, typename Trips, typename Steps>
-KernelTask phase_list_task(WarpCtx& w, const PhaseList<State, Trips, Steps>& pl)
+template <typename State, typename Trips, typename Steps, typename Live>
+KernelTask phase_list_task(WarpCtx& w,
+                           const PhaseList<State, Trips, Steps, Live>& pl)
 {
     State st;
     const std::int64_t trips = pl.trips(w.block_idx());
@@ -329,58 +368,89 @@ KernelTask phase_list_task(WarpCtx& w, const PhaseList<State, Trips, Steps>& pl)
         }
 }
 
-/// The native lowering of one step: a loop over the block's warps per
-/// repetition.  A barrier is the boundary between two such loops.
+/// The native lowering of one step: a loop over the trip's live warps
+/// per repetition.  A barrier is the boundary between two such loops.
 template <typename State, typename Step>
 void run_step_phase_major(NativeBlockCtx& blk, std::span<State> st,
-                          std::int64_t it, const Step& step)
+                          std::int64_t it, const Step& step, int live)
 {
     if constexpr (!std::is_same_v<Step, Barrier>) {
-        const int wc = blk.warps_per_block();
         for (int r = 0; r < step_repeats(step); ++r)
-            for (int wid = 0; wid < wc; ++wid)
+            for (int wid = 0; wid < live; ++wid)
                 run_step(blk.warp(wid), st[static_cast<std::size_t>(wid)],
                          it, step, r);
     }
 }
 
+template <typename State, typename Trips, typename Live, typename... Steps>
+[[nodiscard]] auto make_phase_list(Trips trips, Live live, Steps... steps)
+{
+    auto flat = std::tuple_cat(step_tuple(std::move(steps))...);
+    return PhaseList<State, Trips, decltype(flat), Live>{
+        std::move(trips), std::move(flat), std::move(live)};
+}
+
 } // namespace detail
 
 /// Build a PhaseList over per-warp `State` (tuples among `steps` are
-/// spliced in place).
+/// spliced in place), every warp live in every trip.
 template <typename State, typename Trips, typename... Steps>
 [[nodiscard]] auto phase_list(Trips trips, Steps... steps)
 {
-    auto flat = std::tuple_cat(detail::step_tuple(std::move(steps))...);
-    return PhaseList<State, Trips, decltype(flat)>{std::move(trips),
-                                                   std::move(flat)};
+    return detail::make_phase_list<State>(
+        std::move(trips), detail::AllWarpsLive{}, std::move(steps)...);
+}
+
+/// Build a PhaseList whose trip `it` of block b has `live.f(b, it)` live
+/// warps (see above).
+template <typename State, typename Trips, typename F, typename... Steps>
+[[nodiscard]] auto phase_list(Trips trips, LiveWarps<F> live, Steps... steps)
+{
+    return detail::make_phase_list<State>(
+        std::move(trips), std::move(live.f), std::move(steps)...);
 }
 
 /// The native lowering of a phase list for one block: every step
-/// phase-major over the block's warps, barriers as loop boundaries.
+/// phase-major over the trip's live warps, barriers as loop boundaries.
 /// Callable from inside any native block program (e.g. one that stages
-/// its own input first).  The states live in blk.warp_scratch, so the
-/// block program must not hold another scratch span across the call.
-template <typename State, typename Trips, typename Steps>
-void run_phases(NativeBlockCtx& blk, const PhaseList<State, Trips, Steps>& pl)
+/// its own input first).  The states live in blk.scratch, so the block
+/// program must not hold another scratch span across the call.  Warps
+/// dead in the first trip never run (dead warps occur only in the last),
+/// so only the first trip's live warps get a state.
+template <typename State, typename Trips, typename Steps, typename Live>
+void run_phases(NativeBlockCtx& blk,
+                const PhaseList<State, Trips, Steps, Live>& pl)
 {
-    const auto st = blk.warp_scratch<State>();
-    const std::int64_t trips = pl.trips(blk.block_idx());
-    for (std::int64_t it = 0; it < trips; ++it)
+    const Dim3 b = blk.block_idx();
+    const int wc = blk.warps_per_block();
+    const auto live_in = [&](std::int64_t it) {
+        return static_cast<int>(std::clamp<std::int64_t>(pl.live(b, it), 0,
+                                                         wc));
+    };
+    const std::int64_t trips = pl.trips(b);
+    if (trips <= 0)
+        return;
+    const auto st =
+        blk.scratch<State>(static_cast<std::size_t>(live_in(0)));
+    for (std::int64_t it = 0; it < trips; ++it) {
+        const int live = live_in(it);
+        SATGPU_EXPECTS(live == wc || it + 1 == trips);
+        blk.set_live_warps(live);
         std::apply(
             [&](const auto&... step) {
-                (detail::run_step_phase_major(blk, st, it, step), ...);
+                (detail::run_step_phase_major(blk, st, it, step, live), ...);
             },
             pl.steps);
+    }
 }
 
 /// Launch a phase-list kernel on the simulator (one coroutine per warp,
 /// counted and checked like any kernel) or natively (`native`: run_phases
 /// per block).
-template <typename State, typename Trips, typename Steps>
+template <typename State, typename Trips, typename Steps, typename Live>
 LaunchStats launch_phases(Engine& eng, const KernelInfo& info,
                           LaunchConfig cfg, bool native,
-                          const PhaseList<State, Trips, Steps>& pl)
+                          const PhaseList<State, Trips, Steps, Live>& pl)
 {
     if (native)
         return native_launch(eng, info, cfg, [&pl](NativeBlockCtx& blk) {

@@ -196,6 +196,53 @@ inline void transpose_tile(const std::byte* src, std::ptrdiff_t src_stride,
         }
 }
 
+/// Four rows of a dense 32x32 tile (stride 32), lane-major: lane l of rows
+/// [r0, r0 + 4) as one 4-vector.
+template <Lane T>
+using RowQuad = std::array<Vec<T, 4>, kWarpSize>;
+
+/// q[l] = {tile(r0, l), ..., tile(r0 + 3, l)}: the eight 4x4 blocks of
+/// rows [r0, r0 + 4) transposed.
+template <Lane T>
+inline void load_row_quad(const std::byte* p, int r0, RowQuad<T>& q) noexcept
+{
+    constexpr std::ptrdiff_t kS = kWarpSize;
+    constexpr auto kT = static_cast<std::ptrdiff_t>(sizeof(T));
+    for (std::size_t j = 0; j < kWarpSize; j += 4) {
+        Block4<T> b;
+        load_block<T>(p + (r0 * kS + static_cast<std::ptrdiff_t>(j)) * kT,
+                      kS, b);
+        transpose_block<T>(b);
+        q[j] = b.r0;
+        q[j + 1] = b.r1;
+        q[j + 2] = b.r2;
+        q[j + 3] = b.r3;
+    }
+}
+
+/// The inverse of load_row_quad for rows r0 + k with k < live; the
+/// other rows are left untouched.
+template <Lane T>
+inline void store_row_quad(std::byte* p, int r0, int live,
+                           const RowQuad<T>& q) noexcept
+{
+    constexpr std::ptrdiff_t kS = kWarpSize;
+    constexpr auto kT = static_cast<std::ptrdiff_t>(sizeof(T));
+    for (std::size_t j = 0; j < kWarpSize; j += 4) {
+        Block4<T> b{q[j], q[j + 1], q[j + 2], q[j + 3]};
+        transpose_block<T>(b);
+        std::byte* const at =
+            p + (r0 * kS + static_cast<std::ptrdiff_t>(j)) * kT;
+        if (live >= 4) {
+            store_block<T>(at, kS, b);
+        } else {
+            const Vec<T, 4>* const r[] = {&b.r0, &b.r1, &b.r2};
+            for (int k = 0; k < live; ++k)
+                std::memcpy(at + k * kS * kT, r[k], sizeof b.r0);
+        }
+    }
+}
+
 /// Transpose a dense 32x32 tile (stride 32) in place: each pair of
 /// mirrored 4x4 blocks is loaded whole before either is stored.
 template <Lane T>

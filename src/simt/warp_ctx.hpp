@@ -40,6 +40,9 @@ public:
     {
         return static_cast<int>(cfg_.warps_per_block());
     }
+    /// Warps that run the current trip of a phase list: all of them (the
+    /// simulator runs dead warps too; see NativeWarpCtx::live_warps).
+    [[nodiscard]] int live_warps() const { return warps_per_block(); }
 
     /// laneId as a vector {0..31}.
     [[nodiscard]] static LaneVec<std::int64_t> lane()

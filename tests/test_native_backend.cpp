@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <random>
 #include <source_location>
@@ -1051,31 +1052,34 @@ TYPED_TEST(SimdTile, ShuffleEachLaneIsItsShuffles)
 TYPED_TEST(SimdTile, TileScanMatchesPerRowScansBitExactly)
 {
     using T = TypeParam;
-    for (const auto kind : kAllScanKinds) {
-        const std::string what(scan::to_string(kind));
-        const auto src = seeded_tile<T>(21);
-        auto tile = src;
-        scan::warp_inclusive_scan_tile(kind, tile);
-        simt::LaneTile<T> rows{};
-        for (int j = 0; j < kWarpSize; ++j)
-            rows[static_cast<std::size_t>(j)] = scan::warp_inclusive_scan(
-                kind, src[static_cast<std::size_t>(j)]);
-        expect_tiles_bits_eq(tile, rows, what);
-        auto checked = src;
-        instrumented([&] {
-            scan::warp_inclusive_scan_tile(kind, checked);
-            return 0;
-        });
-        expect_tiles_bits_eq(checked, rows, what + " (instrumented)");
-        if constexpr (std::is_floating_point_v<T>) {
-            // -0.0 + -0.0 = -0.0 on every lane of the all -0.0 row; a
-            // zero-filled shift would have produced +0.0 somewhere.
-            for (int l = 0; l < kWarpSize; ++l)
-                EXPECT_TRUE(std::signbit(tile[3].get(l)) &&
-                            tile[3].get(l) == T{0})
-                    << what << " lane " << l;
+    const auto src = seeded_tile<T>(21);
+    for (const auto kind : kAllScanKinds)
+        for (int rows = 0; rows <= kWarpSize; ++rows) {
+            const std::string what = std::string(scan::to_string(kind)) +
+                                     " rows " + std::to_string(rows);
+            // Rows [0, rows) scanned, the others exactly as they were.
+            auto want = src;
+            for (int j = 0; j < rows; ++j)
+                want[static_cast<std::size_t>(j)] = scan::warp_inclusive_scan(
+                    kind, src[static_cast<std::size_t>(j)]);
+            auto tile = src;
+            scan::warp_inclusive_scan_tile(kind, tile, rows);
+            expect_tiles_bits_eq(tile, want, what);
+            auto checked = src;
+            instrumented([&] {
+                scan::warp_inclusive_scan_tile(kind, checked, rows);
+                return 0;
+            });
+            expect_tiles_bits_eq(checked, want, what + " (instrumented)");
+            if constexpr (std::is_floating_point_v<T>) {
+                // -0.0 + -0.0 = -0.0 on every lane of the all -0.0 row; a
+                // zero-filled shift would have produced +0.0 somewhere.
+                for (int l = 0; l < kWarpSize && rows > 3; ++l)
+                    EXPECT_TRUE(std::signbit(tile[3].get(l)) &&
+                                tile[3].get(l) == T{0})
+                        << what << " lane " << l;
+            }
         }
-    }
 }
 
 TYPED_TEST(SimdTile, InstrumentedTileScanCountsLikeItsRowScans)
@@ -1299,12 +1303,28 @@ constexpr sat::Algorithm kNativeAlgos[] = {sat::Algorithm::kBrltScanRow,
 
 TEST(NativeBackend, BitExactWithSimulatorOnRaggedShapes)
 {
-    sat::Runtime rt({.record_history = false});
-    // 1100 x 40 spans two 1024-row ScanColumn strips (three 512-row strips
-    // for f64f64, whose blocks have 16 warps and BRLT groups of 4 tiles).
-    const struct {
+    // The simulator runs every warp; the native lowering runs only the
+    // live ones (ScanRow's live register groups, ScanColumn's rows and
+    // the BRLT pair's columns of a ragged last strip or chunk).
+    struct Shape {
         std::int64_t h, w;
-    } shapes[] = {{33, 17}, {64, 31}, {130, 97}, {1100, 40}};
+    };
+    std::vector<Shape> shapes = {
+        // 1100 x 40 spans two 1024-row ScanColumn strips (three 512-row
+        // strips for f64f64, whose blocks have 16 warps and BRLT groups
+        // of 4 tiles).
+        {33, 17}, {64, 31}, {130, 97}, {1100, 40},
+        // The satgpu_serve / perfbench serve_mixed shapes.
+        {128, 128}, {96, 160}, {256, 256}, {64, 64}, {160, 96},
+        // Dead warps in a non-first trip: a second ScanColumn strip of 33
+        // rows, a second BRLT chunk of 33 columns (the third for f64f64).
+        {1057, 33}, {33, 1057}};
+    // 1, 5, 8, 9, 31 and 32 live register groups (ScanRow) or live warps
+    // (ScanColumn down the rows, the BRLT pair across the columns).
+    for (const std::int64_t n : {20, 150, 256, 260, 990, 1024}) {
+        shapes.push_back({40, n});
+        shapes.push_back({n, 40});
+    }
     const DtypePair pairs[] = {{Dtype::u8_, Dtype::u32_},
                                {Dtype::f32_, Dtype::f32_},
                                {Dtype::f64_, Dtype::f64_}};
@@ -1318,6 +1338,27 @@ TEST(NativeBackend, BitExactWithSimulatorOnRaggedShapes)
                    {scan::WarpScanKind::kLadnerFischer, true},
                    {scan::WarpScanKind::kBrentKung, true},
                    {scan::WarpScanKind::kHanCarlson, true}};
+    sat::Runtime sim_rt({.record_history = false});
+    std::vector<std::unique_ptr<sat::Runtime>> native_rts;
+    for (const int threads : {1, 2, 7})
+        native_rts.push_back(std::make_unique<sat::Runtime>(
+            simt::Engine::Options{.record_history = false,
+                                  .num_threads = threads}));
+    // A full-size image first, on every native runtime, so the executor
+    // slots' block scratch and shared memory hold a large image's live
+    // values when the small shapes run.
+    for (auto& rt : native_rts)
+        for (const auto& pair : pairs)
+            for (const auto algo : kNativeAlgos) {
+                const auto plan = rt->plan({.height = 1100,
+                                            .width = 1100,
+                                            .dtypes = pair,
+                                            .algorithm = algo,
+                                            .backend = sat::Backend::kNative});
+                ASSERT_EQ(plan.backend(), sat::Backend::kNative);
+                (void)plan.execute(
+                    sat::AnyMatrix::random(pair.in, 1100, 1100, 3));
+            }
     for (const auto& pair : pairs)
         for (const auto algo : kNativeAlgos)
             for (const auto& o : options)
@@ -1330,21 +1371,25 @@ TEST(NativeBackend, BitExactWithSimulatorOnRaggedShapes)
                                          .algorithm = algo,
                                          .warp_scan = o.scan,
                                          .padded_smem = o.padded};
-                    const auto sim = rt.plan(req);
-                    req.backend = sat::Backend::kNative;
-                    const auto nat = rt.plan(req);
-                    const std::string what =
-                        std::string(sat::to_string(algo)) + " " +
-                        std::string(scan::to_string(o.scan)) +
-                        (o.padded ? " padded " : " unpadded ") +
-                        std::to_string(s.h) + "x" + std::to_string(s.w);
-                    ASSERT_EQ(nat.backend(), sat::Backend::kNative) << what;
-                    EXPECT_TRUE(nat.certified()) << what;
+                    const auto sim = sim_rt.plan(req);
                     EXPECT_EQ(sim.backend(), sat::Backend::kSim);
                     EXPECT_FALSE(sim.certified()); // never probed for kSim
                     const auto t_sim = sim.execute(image).table;
-                    const auto t_nat = nat.execute(image).table;
-                    EXPECT_TRUE(t_sim == t_nat) << what;
+                    req.backend = sat::Backend::kNative;
+                    for (auto& rt : native_rts) {
+                        const auto nat = rt->plan(req);
+                        const std::string what =
+                            std::string(sat::to_string(algo)) + " " +
+                            std::string(scan::to_string(o.scan)) +
+                            (o.padded ? " padded " : " unpadded ") +
+                            std::to_string(s.h) + "x" + std::to_string(s.w) +
+                            " threads " + std::to_string(rt->engine().threads());
+                        ASSERT_EQ(nat.backend(), sat::Backend::kNative)
+                            << what;
+                        EXPECT_TRUE(nat.certified()) << what;
+                        EXPECT_TRUE(t_sim == nat.execute(image).table)
+                            << what;
+                    }
                 }
 }
 
@@ -1378,10 +1423,13 @@ TEST(NativeBackend, BitExactWithSimulatorOnRealValuedF32)
 {
     sat::Runtime rt({.record_history = false});
     const DtypePair f32f32{Dtype::f32_, Dtype::f32_};
-    // 40 x 1100 spans two 1024-column chunks of the BRLT kernels.
+    // 40 x 1100 spans two 1024-column chunks of the BRLT kernels; then
+    // the satgpu_serve / perfbench serve_mixed shapes.
     const struct {
         std::int64_t h, w;
-    } shapes[] = {{33, 17}, {64, 31}, {130, 97}, {40, 1100}};
+    } shapes[] = {{33, 17},  {64, 31},   {130, 97}, {40, 1100},
+                  {128, 128}, {96, 160}, {256, 256}, {64, 64},
+                  {160, 96}};
     for (const auto algo : kNativeAlgos)
         for (const auto& s : shapes) {
             const sat::AnyMatrix image{real_f32_image(s.h, s.w, 29)};
